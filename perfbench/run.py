@@ -29,7 +29,7 @@ import statistics
 import subprocess
 import sys
 import time
-from typing import Any, Dict
+from typing import Any, Dict, List, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -104,7 +104,9 @@ def setup_probe(workload: str) -> None:
     print("ready", flush=True)
 
 
-def measure_setup(run: Any) -> float:
+def measure_setup(run: Any) -> List[List[Tuple[float, float]]]:
+    """Set-up intervals of fresh processes, one list per sample; they
+    run pinned to the home core (``hostspeed.py``)."""
     import workloads
 
     samples = []
@@ -114,20 +116,39 @@ def measure_setup(run: Any) -> float:
             [sys.executable, os.path.abspath(__file__), "--setup-probe",
              run.workload], cwd=ROOT, stdout=subprocess.PIPE, text=True)
         line = proc.stdout.readline()
-        seconds = time.perf_counter() - start
+        intervals = [(start, time.perf_counter())]
         proc.communicate()
         if line.strip() != "ready" or proc.returncode != 0:
             raise RuntimeError("setup probe failed")
         if run.workload == "serve":
-            seconds += workloads.serve_setup(run)
-        samples.append(seconds)
-    return statistics.median(samples)
+            start = time.perf_counter()
+            intervals.append((start, start + workloads.serve_setup(run)))
+        samples.append(intervals)
+    return samples
 
 
-def peak_rss_mb() -> float:
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return max(own, children) / 1024.0
+def setup_seconds(run: Any, samples: List[List[Tuple[float, float]]]
+                  ) -> float:
+    """Median set-up time in reference seconds (``hostspeed.py``)."""
+    return statistics.median(
+        sum((end - start) * run.speed.factor(start, end, home=True)
+            for start, end in intervals) for intervals in samples)
+
+
+def peak_rss_mb(run: Any) -> float:
+    """Peak resident set of the benchmark process and the children it
+    reaped; for a server, its process tree's resident set when stopped.
+
+    The measured server's own high-water mark is left out: a transient
+    in it reached 110 MB in most ``serve`` runs and stayed under 87 MB
+    in two or three of ten, which made the metric bimodal over seeds.
+    """
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    children = run.children_peak_mb
+    if children is None:
+        children = resource.getrusage(
+            resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+    return max(own, children, run.server_rss_mb)
 
 
 def traced_metrics(run: Any, traced: Dict[str, Any]) -> Dict[str, float]:
@@ -194,11 +215,26 @@ def main(argv=None) -> int:
 
     import_repro()
     import workloads
+    from hostspeed import REFERENCE_S, HostSpeed
     from spans import Spans, instrument
 
     # A SIGTERM unwinds through the cleanup below, so the server and pool
-    # processes a run started are stopped rather than orphaned.
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    # processes a run started are stopped rather than orphaned.  Processes
+    # forked from this one -- the program's pool workers -- get SIGTERM's
+    # default action back: their pool stops them with SIGTERM, and a
+    # worker blocked in C code never runs a Python handler, which left
+    # the pool waiting for it for good.  A worker that gets the signal
+    # before its reset dies at once too.
+    main_pid = os.getpid()
+
+    def on_sigterm(*_: Any) -> None:
+        if os.getpid() != main_pid:
+            os._exit(143)
+        sys.exit(143)
+
+    signal.signal(signal.SIGTERM, on_sigterm)
+    os.register_at_fork(after_in_child=lambda: signal.signal(
+        signal.SIGTERM, signal.SIG_DFL))
     run = workloads.Run(root=ROOT, workload=args.workload, seed=args.seed,
                         seconds=args.seconds, size=args.size)
     try:
@@ -212,10 +248,17 @@ def main(argv=None) -> int:
                 inst.undo()
             units = per_layer_units()
         else:
-            setup_s = measure_setup(run)
+            run.speed = HostSpeed(run.workdir("hostspeed"))
+            run.speed.start()
+            with run.speed.pinned():
+                setup = measure_setup(run)
             metrics = workloads.MEASURE[args.workload](run)
-            metrics["setup_s"] = setup_s
-            metrics["peak_rss_mb"] = peak_rss_mb()
+            metrics["setup_s"] = setup_seconds(run, setup)
+            metrics["peak_rss_mb"] = peak_rss_mb(run)
+            sample_ms = run.speed.mean_sample_s() * 1e3
+            print(f"host speed: reference kernel {sample_ms:.3f} ms per "
+                  f"sample, {REFERENCE_S * 1e3:.3f} ms on the reference "
+                  f"host", file=sys.stderr)
             units = END_TO_END
     finally:
         run.cleanup()

@@ -27,6 +27,7 @@ import os
 import pickle
 import queue
 import random
+import resource
 import shutil
 import signal
 import statistics
@@ -38,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import layers as layer_map
+from hostspeed import HostSpeed
 from spans import Spans
 
 DEFAULT_SEED = 1
@@ -66,8 +68,6 @@ PINNED = {
 
 WORKERS = 2
 CONNECTIONS = 2
-#: Equal blocks a timed region is cut into (see :func:`summarize`).
-BLOCKS = 5
 TWIN_CAPACITY = 65536
 
 
@@ -94,6 +94,13 @@ class Run:
     seconds: float
     size: str
     spans: Optional[Spans] = None
+    #: Sampler of the measured runs; timings are scaled by its factor.
+    speed: Optional[HostSpeed] = None
+    #: Largest resident set of a server process tree when it was
+    #: stopped, in MB (see :func:`run.peak_rss_mb`).
+    server_rss_mb: float = 0.0
+    #: ``RUSAGE_CHILDREN`` peak before the measured server started, in MB.
+    children_peak_mb: Optional[float] = None
     attempted: int = 0
     failures: List[str] = field(default_factory=list)
     processes: List[subprocess.Popen] = field(default_factory=list)
@@ -132,6 +139,8 @@ class Run:
                        f"the pinned digest {PINNED[name][:16]}")
 
     def cleanup(self) -> None:
+        if self.speed is not None:
+            self.speed.stop()
         for proc in self.processes:
             stop_process(proc)
         shutil.rmtree(os.path.join(self.root, ".perfbench",
@@ -161,8 +170,20 @@ def figure_specs(run: Run) -> Tuple[Any, Any]:
     return fig6, fig2
 
 
-def figure_round(fig6: Any, fig2: Any
-                 ) -> Dict[str, Tuple[float, bytes]]:
+@dataclass
+class Op:
+    """One timed operation: when it ran and how many cells it produced."""
+
+    start: float
+    end: float
+    cells: int = 1
+
+    @property
+    def latency_s(self) -> float:
+        return self.end - self.start
+
+
+def figure_round(fig6: Any, fig2: Any) -> Dict[str, Tuple[Op, bytes]]:
     """Regenerate and export fig6, fig2 and observed fig6 once each.
 
     The observed run attaches lockdep plus typed tracing with recording
@@ -175,16 +196,16 @@ def figure_round(fig6: Any, fig2: Any
     from repro.store.entry import encode_recording
     from repro.store.keys import digest_of
 
-    legs: Dict[str, Tuple[float, bytes]] = {}
+    legs: Dict[str, Tuple[Op, bytes]] = {}
     start = time.perf_counter()
     data = export_bytes(export.scenario_to_dict(
         scenario_mod.run_scenario(fig6)))
-    legs["fig6"] = (time.perf_counter() - start, data)
+    legs["fig6"] = (Op(start, time.perf_counter()), data)
 
     start = time.perf_counter()
     data = export_bytes(export.scenario_to_dict(
         scenario_mod.run_scenario(fig2)))
-    legs["fig2"] = (time.perf_counter() - start, data)
+    legs["fig2"] = (Op(start, time.perf_counter()), data)
 
     start = time.perf_counter()
     result = scenario_mod.run_scenario(
@@ -192,12 +213,12 @@ def figure_round(fig6: Any, fig2: Any
     data = export_bytes(export.scenario_to_dict(result))
     body = result.trace["recording"]
     encode_recording(body, digest_of(body), body["code"])
-    legs["fig6_observed"] = (time.perf_counter() - start, data)
+    legs["fig6_observed"] = (Op(start, time.perf_counter()), data)
     return legs
 
 
-def check_round(run: Run, legs: Dict[str, Tuple[float, bytes]],
-                first: Optional[Dict[str, Tuple[float, bytes]]]) -> None:
+def check_round(run: Run, legs: Dict[str, Tuple[Op, bytes]],
+                first: Optional[Dict[str, Tuple[Op, bytes]]]) -> None:
     run.check(legs["fig6"][1] == legs["fig6_observed"][1],
               "observed fig6 exported other bytes than plain fig6")
     if first is not None:
@@ -209,79 +230,65 @@ def check_round(run: Run, legs: Dict[str, Tuple[float, bytes]],
 LEGS = ("fig6", "fig2", "fig6_observed")
 
 
-@dataclass
-class Op:
-    """One timed operation: when it ran, what it produced."""
-
-    start: float
-    end: float
-    cells: int
-    legs: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def latency_s(self) -> float:
-        return self.end - self.start
+def scaled(speed: HostSpeed, ops: List[Op], home: bool) -> List[float]:
+    """Each operation's latency in reference seconds (``hostspeed.py``),
+    scaled by the host speed sampled while it ran: on the home core for
+    work pinned there, else on every core."""
+    return [op.latency_s * speed.factor(op.start, op.end, home)
+            for op in ops]
 
 
-def summarize(ops: List[Op], start: float, seconds: float
+def summarize(speed: HostSpeed, ops: List[Op], home: bool
               ) -> Dict[str, float]:
-    """End-to-end metrics of the best of :data:`BLOCKS` equal blocks.
+    """Latency percentiles and rates of a timed region's operations.
 
-    The host's speed drifts in waves of seconds to tens of seconds, by
-    up to 1.8x on one fig6 spec, and a run's median follows that
-    weather.  So each block (by completion time) gets its own median,
-    p90 and rates, and each metric reports its best block: the lowest
-    time, the highest rate.  Rates divide by the block's busy span,
-    first start to last end.  Figure legs report the best operation.
+    Latencies are scaled one by one; rates divide by the busy span, first
+    start to last end, scaled by the host speed over that span.
     """
-    width = seconds / BLOCKS
-    blocks: Dict[int, List[Op]] = {}
-    for op in ops:
-        index = min(BLOCKS - 1, int((op.end - start) / width))
-        blocks.setdefault(index, []).append(op)
-    rows = []
-    for block in blocks.values():
-        span = max(op.end for op in block) - min(op.start for op in block)
-        latencies = [op.latency_s for op in block]
-        row = {"job_p50_s": statistics.median(latencies),
-               "job_p90_s": percentile(latencies, 90),
-               "jobs_per_s": len(block) / span,
-               "cells_per_s": sum(op.cells for op in block) / span}
-        rows.append(row)
-    out = {name: (max if name.endswith("per_s") else min)(
-        row[name] for row in rows) for name in rows[0]}
-    for leg in LEGS:
-        values = [op.legs[leg] for op in ops if leg in op.legs]
-        if values:
-            out[f"{leg}_s"] = min(values)
-    return out
+    latencies = scaled(speed, ops, home)
+    start = min(op.start for op in ops)
+    end = max(op.end for op in ops)
+    span = (end - start) * speed.factor(start, end, home)
+    return {"job_p50_s": statistics.median(latencies),
+            "job_p90_s": percentile(latencies, 90),
+            "jobs_per_s": len(ops) / span,
+            "cells_per_s": sum(op.cells for op in ops) / span}
+
+
+def leg_metrics(speed: HostSpeed, rounds: List[Dict]) -> Dict[str, float]:
+    """Median of each figure leg over *rounds*, which ran pinned to the
+    home core, in reference seconds."""
+    return {f"{name}_s": statistics.median(
+        scaled(speed, [r[name][0] for r in rounds], home=True))
+        for name in LEGS}
 
 
 def reference_rounds(run: Run, count: int,
                      first: Optional[Dict] = None) -> List[Dict]:
-    """Figure rounds outside the timed region, for the workloads other
-    than ``figure``, which report the figure legs too."""
+    """Figure rounds outside the timed region, pinned to the home core,
+    for the workloads other than ``figure``, which report the figure
+    legs too."""
     fig6, fig2 = figure_specs(run)
     rounds = []
-    for _ in range(count):
-        run.attempted += 1
-        legs = figure_round(fig6, fig2)
-        check_round(run, legs, first)
-        first = first or legs
-        rounds.append(legs)
+    with run.speed.pinned():
+        for _ in range(count):
+            run.attempted += 1
+            legs = figure_round(fig6, fig2)
+            check_round(run, legs, first)
+            first = first or legs
+            rounds.append(legs)
     return rounds
 
 
-def reference_legs(rounds: List[Dict]) -> Dict[str, float]:
-    """Best-of-rounds figure legs (rounds before and after the timed
-    region, so one slow stretch of the host does not set them all)."""
-    return {f"{name}_s": min(r[name][0] for r in rounds) for name in LEGS}
-
-
 def figure_measure(run: Run) -> Dict[str, float]:
+    with run.speed.pinned():
+        return _figure_measure(run)
+
+
+def _figure_measure(run: Run) -> Dict[str, float]:
     fig6, fig2 = figure_specs(run)
+    rounds: List[Dict] = []
     ops: List[Op] = []
-    first = None
     start = time.perf_counter()
     deadline = start + run.seconds
     while not ops or time.perf_counter() < deadline:
@@ -292,19 +299,19 @@ def figure_measure(run: Run) -> Dict[str, float]:
         except Exception as exc:  # an operation that raised is a failure
             run.fail(f"figure round raised {exc!r}")
             raise
-        ops.append(Op(t0, time.perf_counter(), cells=3,
-                      legs={name: leg[0] for name, leg in legs.items()}))
-        check_round(run, legs, first)
-        if first is None:
-            first = legs
+        ops.append(Op(t0, time.perf_counter(), cells=len(legs)))
+        check_round(run, legs, rounds[0] if rounds else None)
+        if not rounds:
             run.check_pinned("fig6", legs["fig6"][1])
             run.check_pinned("fig2", legs["fig2"][1])
+        rounds.append(legs)
     print(f"figure: {len(ops)} rounds in {ops[-1].end - start:.2f}s "
           f"(fig6 {fig6.measurement.samples} samples seed {fig6.seed}, "
           f"fig2 {fig2.measurement.iterations} iterations seed "
           f"{fig2.seed}); no store, 0 cached cells, 0 resubmits",
           file=sys.stderr)
-    return summarize(ops, start, run.seconds)
+    return (summarize(run.speed, ops, home=True)
+            | leg_metrics(run.speed, rounds))
 
 
 def figure_traced(run: Run) -> Dict[str, Any]:
@@ -376,7 +383,7 @@ def sweep_op(campaign: Any, margin: Any, store: str, workers: int
 
 def sweep_measure(run: Run) -> Dict[str, float]:
     campaign, margin = sweep_specs(run)
-    rounds = reference_rounds(run, 2)
+    rounds = reference_rounds(run, 3)
     ops: List[Op] = []
     first: Optional[Tuple[bytes, bytes]] = None
     start = time.perf_counter()
@@ -411,9 +418,9 @@ def sweep_measure(run: Run) -> Dict[str, float]:
           f"seeds {list(campaign.seeds)}, margin seed {margin.seed}); "
           f"empty store per op: 0 cached cells, 0 resubmits",
           file=sys.stderr)
-    out = summarize(ops, start, run.seconds)
-    out.update(reference_legs(rounds + reference_rounds(run, 3, rounds[0])))
-    return out
+    rounds += reference_rounds(run, 4, rounds[0])
+    return (summarize(run.speed, ops, home=False)
+            | leg_metrics(run.speed, rounds))
 
 
 def sweep_traced(run: Run) -> Dict[str, Any]:
@@ -674,10 +681,32 @@ class Server:
 
     def stop(self) -> None:
         if self.proc is not None:
+            self.run.server_rss_mb = max(self.run.server_rss_mb,
+                                         tree_rss_mb(self.proc.pid))
             stop_process(self.proc)
             self.run.processes.remove(self.proc)
         if self._reader is not None:
             self._reader.join(timeout=10)
+
+
+def tree_rss_mb(pid: int) -> float:
+    """Largest resident set of *pid* and its live descendants, now."""
+    rss_kb = 0
+    todo = [pid]
+    while todo:
+        proc = f"/proc/{todo.pop()}"
+        try:
+            with open(f"{proc}/status", encoding="ascii") as fh:
+                for line in fh:
+                    if line.startswith("VmRSS:"):
+                        rss_kb = max(rss_kb, int(line.split()[1]))
+            for task in os.listdir(f"{proc}/task"):
+                with open(f"{proc}/task/{task}/children",
+                          encoding="ascii") as fh:
+                    todo.extend(int(child) for child in fh.read().split())
+        except OSError:  # the process ended while being read
+            continue
+    return rss_kb / 1024.0
 
 
 def prewarm(streams: List[JobStream], store_dir: str) -> int:
@@ -847,11 +876,11 @@ def _health_delta(before: Dict[str, Any], after: Dict[str, Any]
 def serve_pass(run: Run, streams: List[JobStream], store: str,
                   deadline_s: Optional[float], jobs_per_conn: Optional[int],
                   watch_queue: bool, profile_out: Optional[str] = None
-                  ) -> Tuple[List[JobResult], float, float, Dict[str, int]]:
+                  ) -> Tuple[List[JobResult], float, Dict[str, int]]:
     """Start a server on *store*, drive the streams, stop it.
 
-    Returns the results, when driving started, how long it took and the
-    change in the server's cell counters.
+    Returns the results, how long driving took and the change in the
+    server's cell counters.
     """
     from repro.service.client import ServiceClient
 
@@ -869,7 +898,7 @@ def serve_pass(run: Run, streams: List[JobStream], store: str,
     finally:
         server.stop()
     run.attempted += len(results)
-    return results, start, elapsed, delta
+    return results, elapsed, delta
 
 
 def serve_setup(run: Run) -> float:
@@ -898,8 +927,10 @@ def serve_measure(run: Run) -> Dict[str, float]:
     streams = serve_streams(run)
     store = os.path.join(run.workdir("serve"), "store")
     warm_cells = prewarm(streams, store)
-    rounds = reference_rounds(run, 2)
-    results, start, elapsed, delta = serve_pass(
+    rounds = reference_rounds(run, 3)
+    run.children_peak_mb = resource.getrusage(
+        resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+    results, elapsed, delta = serve_pass(
         run, streams, store, run.seconds, None, watch_queue=False)
     print(f"serve: {warm_cells} cells stored before timing; "
           f"{describe_jobs(results, delta)}; {elapsed:.2f}s",
@@ -907,12 +938,12 @@ def serve_measure(run: Run) -> Dict[str, float]:
     check_jobs(run, results)
     ops = [Op(job.start, job.end, job.cells) for job in results
            if not job.error]
-    if len(ops) < 100 * BLOCKS:
-        print(f"serve: only {len(ops)} jobs; some blocks have fewer than "
-              f"the 100 that put ten beyond their p90", file=sys.stderr)
-    out = summarize(ops, start, run.seconds)
-    out.update(reference_legs(rounds + reference_rounds(run, 3, rounds[0])))
-    return out
+    if len(ops) < 100:
+        print(f"serve: only {len(ops)} jobs, fewer than the 100 that put "
+              f"ten beyond the p90", file=sys.stderr)
+    rounds += reference_rounds(run, 4, rounds[0])
+    return (summarize(run.speed, ops, home=False)
+            | leg_metrics(run.speed, rounds))
 
 
 SERVER_SPANS = {
@@ -944,7 +975,7 @@ def serve_traced(run: Run) -> Dict[str, Any]:
     count = run.sizes["traced_jobs"]
     run.spans.reset()  # the ledger's spans are the passes', not prewarm's
 
-    results, _, untraced_s, _ = serve_pass(
+    results, untraced_s, _ = serve_pass(
         run, streams, plain_store, None, count, watch_queue=True)
     check_jobs(run, results)
     spans = run.spans
@@ -958,7 +989,7 @@ def serve_traced(run: Run) -> Dict[str, Any]:
     profilers = layer_map.ThreadProfilers()
     profilers.start()
     try:
-        traced, _, traced_s, traced_delta = serve_pass(
+        traced, traced_s, traced_delta = serve_pass(
             run, serve_streams(run), profiled_store, None, count,
             watch_queue=True, profile_out=server_stats)
     finally:
