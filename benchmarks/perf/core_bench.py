@@ -71,7 +71,7 @@ def drain_body(sim, n: int) -> Tuple[float, int]:
 def periodic_body(sim, ticks: int) -> Tuple[float, int]:
     """Drive 8 free-running periodic sources for *ticks* total fires.
 
-    On the live core the sources use the ``periodic()`` timer-wheel
+    On the live core the sources use the ``periodic()``
     primitive; on the legacy core (or any simulator without it) they
     fall back to the naive self-rescheduling ``after()`` idiom, which
     is exactly what the pre-optimization devices did.
@@ -133,15 +133,12 @@ def cancel_churn_body(sim, n: int) -> Tuple[float, int]:
 
 
 def batched_drain_body(sim, n: int) -> Tuple[float, int]:
-    """Mixed heap + wheel drain: the batched backend's target shape.
+    """A mixed one-shot/periodic drain.
 
     Half the events are pre-loaded scattered one-shots and the other
     half are periodic fires interleaved among them, so the drain
-    crosses the one-shot/periodic boundary constantly.  The
-    event-at-a-time loop pays a heap-vs-wheel comparison per fire;
-    the batched backend stages each window once and dispatches the
-    merged run -- this row is the direct measure of that fusion.  On
-    the legacy core the periodic sources fall back to the naive
+    alternates between the two kinds of event constantly.  On the
+    legacy core the periodic sources fall back to the naive
     self-rescheduling ``after()`` idiom.
     """
     cb = _null_callback

@@ -22,9 +22,6 @@ ALLOW = {
     # emit; everything else on the hot path goes through the typed
     # tracepoint registry (repro.observe.tracepoints).
     "direct-trace-emit": ("repro/sim/trace.py", "repro/sim/engine.py"),
-    # rng.py IS the draw-plane layer: its passthrough calls onto the
-    # raw numpy Generator are the sanctioned implementation.
-    "scalar-rng": ("repro/sim/rng.py",),
 }
 
 #: NumPy global-state draws (``np.random.<fn>``).  Constructors like
@@ -38,12 +35,6 @@ GLOBAL_NP_RANDOM = frozenset({
 
 #: Directories whose dataclasses sit on the event-loop hot path.
 HOT_DIRS = ("repro/sim/", "repro/kernel/")
-
-#: Directories whose RNG draws are cold (setup, fault scripts,
-#: workload bodies drawing a handful of values per syscall) -- scalar
-#: draws there are flagged but may carry explicit ``# lint: ok``
-#: escapes documenting the coldness.
-COLD_RNG_DIRS = ("repro/workloads/", "repro/faults/")
 
 #: Layers whose trace labels must be gated on ``trace.enabled``.
 TRACED_DIRS = ("repro/sim/", "repro/kernel/", "repro/hw/")
@@ -260,52 +251,6 @@ class DirectTraceEmitRule(Rule):
                     "tracepoints) instead")
 
 
-class ScalarRngRule(Rule):
-    """Scalar ``.integers(...)`` draws must consume draw planes.
-
-    A scalar ``rng.integers(lo, hi)`` costs a full numpy dispatch per
-    value; the registry's :class:`~repro.sim.rng.PlanedGenerator`
-    amortizes repeated signatures into block-prefetched draw planes,
-    but only when the stream is bound once and drawn through a local
-    name (``rng = self._rng`` then ``rng.integers(...)`` -- the
-    plane-consuming idiom the kernel's cost models use).  In hot
-    modules this rule therefore flags scalar draws through an
-    *attribute* receiver (``self.gen.integers(...)``), which re-reads
-    the attribute per draw and usually means a raw ``numpy``
-    ``Generator`` is being used behind the registry's back.  In the
-    cold directories (:data:`COLD_RNG_DIRS`) every scalar draw is
-    flagged so each one carries an explicit ``# lint: ok(scalar-rng)``
-    escape documenting that the site is off the event hot path.
-    Vectorized draws (``size=`` or a third positional argument) are
-    always fine.
-    """
-
-    name = "scalar-rng"
-
-    def applies_to(self, path: str) -> bool:
-        return _in_dirs(path, HOT_DIRS + COLD_RNG_DIRS)
-
-    def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
-        hot = _in_dirs(path, HOT_DIRS)
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "integers"):
-                continue
-            if len(node.args) >= 3 or any(kw.arg == "size"
-                                          for kw in node.keywords):
-                continue  # vectorized draw
-            receiver = node.func.value
-            if hot and isinstance(receiver, ast.Name):
-                continue  # bound-stream idiom: planes absorb it
-            yield self.finding(
-                path, node,
-                "scalar rng.integers() draw; bind the registry stream "
-                "to a local and draw through it so PlanedGenerator "
-                "planes absorb the per-draw cost, batch with size=, "
-                "or mark a cold path with '# lint: ok(scalar-rng)'")
-
-
 #: Critical-section openers and their matching closers.
 _SECTION_PAIRS = {"Acquire": "Release", "SemDown": "SemUp"}
 _SECTION_OPS = frozenset(_SECTION_PAIRS) | frozenset(_SECTION_PAIRS.values())
@@ -412,6 +357,5 @@ ALL_RULES: Tuple[Rule, ...] = (
     NoSlotsDataclassRule(),
     UngatedLabelRule(),
     DirectTraceEmitRule(),
-    ScalarRngRule(),
     PairedAcquireReleaseRule(),
 )

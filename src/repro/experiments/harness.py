@@ -84,17 +84,12 @@ class Bench:
                        strict_limit: bool = False) -> None:
         """Advance in chunks until *test.finished* or the time limit.
 
-        If every queue drains while the test is still unfinished the
+        If the event heap drains while the test is still unfinished the
         simulation can never progress again; rather than silently
         burning the remaining limit we raise a diagnostic immediately,
         naming what is still scheduled (periodic callbacks -- timer
         ticks, device pacers, fault-injector pacers -- by label, plus
         the one-shot count) so the missing event source is obvious.
-        The stall check and the diagnostic both consult the engine's
-        staged-aware views (``peek_time``/``pending_summary``), so
-        events sitting in the batched backend's in-flight run -- e.g.
-        after a callback raised out of an advance -- count as pending
-        work rather than as a phantom stall.
 
         *strict_limit* additionally raises when the limit expires with
         the test unfinished (the default keeps the historical contract
@@ -106,11 +101,10 @@ class Bench:
             if sim.peek_time() is None:
                 name = getattr(test, "name", type(test).__name__)
                 raise SimulationStalledError(
-                    f"all event queues drained at t={sim.now} ns with "
+                    f"the event heap drained at t={sim.now} ns with "
                     f"measurement program {name!r} unfinished "
                     f"({deadline - sim.now} ns short of its limit); "
-                    f"a workload or device stopped scheduling events "
-                    f"[backend={sim.backend_name}]; "
+                    f"a workload or device stopped scheduling events; "
                     f"pending: {sim.pending_summary()}")
             sim.run_until(min(deadline, sim.now + chunk_ns))
         if strict_limit and not test.finished:
@@ -118,8 +112,7 @@ class Bench:
             raise SimulationStalledError(
                 f"time limit of {limit_ns} ns expired at t={sim.now} "
                 f"ns with measurement program {name!r} unfinished "
-                f"({sim.events_pending} events still pending, "
-                f"backend={sim.backend_name}); "
+                f"({sim.events_pending} events still pending); "
                 f"pending: {sim.pending_summary()}")
 
 

@@ -121,7 +121,7 @@ class IrqStormInjector(Injector):
             period, self._fire, label=f"fault:{self.key}")
 
     def _fire(self) -> None:
-        burst = int(self.rng.integers(1, self._burst_max + 1))  # lint: ok(scalar-rng)
+        burst = int(self.rng.integers(1, self._burst_max + 1))
         apic = self.bench.machine.apic
         for _ in range(burst):
             apic.raise_irq(self._irq)
@@ -272,7 +272,7 @@ class RogueTaskInjector(Injector):
 
         def body():
             while True:
-                gap = int(rng.integers(period // 2, period + 1))  # lint: ok(scalar-rng)
+                gap = int(rng.integers(period // 2, period + 1))
                 yield op.Sleep(gap)
                 if not injector._active:
                     return

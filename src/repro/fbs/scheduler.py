@@ -141,8 +141,8 @@ class FrequencyBasedScheduler:
             self._tick_event = None
 
     def _arm_fallback(self) -> None:
-        """Plain simulator timing source (no RCIM attached): a wheel
-        periodic, re-armed in place every minor cycle."""
+        """Plain simulator timing source (no RCIM attached): a
+        simulator periodic firing every minor cycle."""
         self._tick_event = self.sim.periodic(
             self.cycle_ns, self._fallback_tick, label="fbs-cycle")
 

@@ -26,10 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class LocalTimer:
     """Manages one periodic tick per CPU.
 
-    Each CPU's tick is a timer-wheel periodic
+    Each CPU's tick is a simulator periodic
     (:meth:`repro.sim.engine.Simulator.periodic`): the hottest event
-    stream in the whole simulation re-arms in place instead of
-    allocating a fresh handle 100 times per simulated second per CPU.
+    stream in the whole simulation re-arms its one handle instead of
+    allocating a fresh one 100 times per simulated second per CPU.
     """
 
     def __init__(self, kernel: "Kernel") -> None:

@@ -1,8 +1,9 @@
 """Discrete-event simulation engine underlying the linsim kernel model.
 
-The engine provides an integer-nanosecond clock, a cancellable event
-heap, named deterministic random-number substreams, and a lightweight
-tracing facility.  Everything above this package (hardware, kernel,
+The engine provides an integer-nanosecond clock, one cancellable event
+heap holding both one-shot and periodic events, named deterministic
+random-number substreams (plain numpy ``Generator`` objects), and a
+lightweight tracing facility.  Everything above this package (hardware, kernel,
 workloads) is written in terms of :class:`~repro.sim.engine.Simulator`
 events.
 """

@@ -1,12 +1,10 @@
 """The discrete-event simulation core.
 
-:class:`Simulator` owns the clock, the event queues, the master RNG
+:class:`Simulator` owns the clock, the event heap, the master RNG
 registry and the trace buffer.  Hardware and kernel objects schedule
 zero-argument callbacks at absolute or relative times and may cancel
 them through the returned :class:`~repro.sim.events.EventHandle`, or
-install recurring callbacks via :meth:`Simulator.periodic`, which are
-managed by a hierarchical timer wheel and re-armed in place with no
-per-tick allocation.
+install recurring callbacks via :meth:`Simulator.periodic`.
 
 The engine is intentionally minimal: all *semantics* (preemption,
 interrupts, locking) live in the hardware/kernel layers.  Keeping the
@@ -15,51 +13,48 @@ rest of the system then inherits.
 
 Hot-path design (the perf suite in ``benchmarks/perf`` tracks this):
 
-* The one-shot heap holds packed ``(when << 44) | seq`` integer keys,
-  so ``heapq`` comparisons are single C int compares -- no handle
-  objects on the heap, no tuple indirection, no Python ``__lt__``.
-  Liveness is an external dict (key -> handle); absence means
-  cancelled, so firing needs no handle write-back at all.
-* The dequeue/dispatch/re-arm inner loop lives behind the
-  :class:`~repro.sim.backends.base.SimBackend` seam
-  (``repro.sim.backends``): the default ``batched`` backend stages due
-  wheel entries into a flat sorted run (``_active_run``) and dispatches
-  fused one-shot runs between staged heads; the ``simple`` backend is
-  the historical event-at-a-time loop kept as its oracle; ``compiled``
-  is the batched loop built as an extension module when available.
-* Firing order is strict ``(when, seq)`` across both queues, with
-  periodics drawing a fresh seq from the same counter at each re-arm:
-  exactly the order the naive self-rescheduling ``after()`` idiom
-  produced, which is what keeps figure outputs byte-identical --
-  under every backend.
+* One heap holds every pending event as a packed ``(when << 44) |
+  seq`` integer key, so ``heapq`` comparisons are single C int
+  compares -- no handle objects on the heap, no tuple indirection, no
+  Python ``__lt__``.  Liveness is an external dict (key -> callback);
+  absence means cancelled, so firing needs no handle write-back.
+* A periodic is one key at a time on that heap.  Its callback entry is
+  the handle's bound fire method, which runs the user callback and
+  then pushes the next period's key with a fresh seq from the shared
+  counter: exactly the order the naive self-rescheduling ``after()``
+  idiom produced, which is what keeps figure outputs byte-identical.
+  The paper's machines keep a handful of such timers pending (the
+  per-CPU tick, RTC, RCIM), so a dedicated timer structure would not
+  pay for itself.
+* :meth:`Simulator.run`, :meth:`Simulator.run_until` and
+  :meth:`Simulator.step` share one dispatch loop.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Union
+from collections import Counter
+from typing import Callable, List, Optional
 
 from repro.observe.tracepoints import Tracepoints
-from repro.sim.backends import SimBackend, resolve as _resolve_backend
 from repro.sim.errors import SchedulingInPastError, SimulationStalledError
-from repro.sim.events import (COMPACT_FLOOR, EventHandle, PeriodicHandle,
-                              SEQ_BITS)
+from repro.sim.events import EventHandle, PeriodicHandle, SEQ_BITS
 from repro.sim.rng import DEFAULT_SEED, RngStreams
 from repro.sim.trace import TraceBuffer
-from repro.sim.wheel import TimerWheel
-
-#: Compact the heap only once it is at least this large (see
-#: :data:`repro.sim.events.COMPACT_FLOOR`, shared with the inlined
-#: cancel path in EventHandle.cancel).
-_COMPACT_FLOOR = COMPACT_FLOOR
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 _new_handle = EventHandle.__new__
+_periodic_fire = PeriodicHandle._fire
+
+#: A key above every schedulable one (its timestamp, 2**4052 ns, is
+#: far past any simulated horizon), so run() can share run_until()'s
+#: loop.  An int bound keeps the per-event check an int compare.
+_NEVER = 1 << 4096
 
 
 class Simulator:
-    """Event queues plus clock.
+    """Event heap plus clock.
 
     Parameters
     ----------
@@ -70,40 +65,21 @@ class Simulator:
         ``ScenarioSpec`` driving the experiment).
     trace_capacity:
         Ring-buffer size for the (normally disabled) trace facility.
-    backend:
-        Inner-loop implementation: ``"batched"`` (default),
-        ``"simple"``, ``"compiled"``, or a :class:`SimBackend`
-        instance.  ``None`` consults the ``REPRO_SIM_BACKEND``
-        environment variable.  All backends fire events in identical
-        order; the choice affects wall-clock only.
     """
 
     def __init__(self, seed: Optional[int] = None,
-                 trace_capacity: int = 65536,
-                 backend: Union[None, str, SimBackend] = None) -> None:
+                 trace_capacity: int = 65536) -> None:
         self.now: int = 0
         self._heap: List[int] = []
         self._handles: dict = {}  # packed key -> callback (presence = alive)
-        self._wheel = TimerWheel()
         self._seq = 0
         self._events_fired = 0
         self._dead = 0   # cancelled entries not yet popped or compacted
-        # Wheel entries staged for batched dispatch: a sorted list of
-        # (key, PeriodicHandle).  Normally drained by the advance that
-        # staged it; introspection helpers below fold it in so staged
-        # events are never invisible.
-        self._active_run: list = []
-        self._backend: SimBackend = _resolve_backend(backend)
         self.rng = RngStreams(DEFAULT_SEED if seed is None else seed)
         self.trace = TraceBuffer(trace_capacity)
         # Typed tracepoint registry (disabled; the machine sizes its
         # per-CPU rings via tp.configure() once the CPU count is known).
         self.tp = Tracepoints()
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the active inner-loop backend."""
-        return self._backend.name
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -152,14 +128,14 @@ class Simulator:
                  first_delay: Optional[int] = None,
                  first_at: Optional[int] = None,
                  label: Optional[str] = None) -> PeriodicHandle:
-        """Install a recurring callback on the timer wheel.
+        """Install a recurring callback.
 
         Fires first at ``first_at`` (absolute), or ``now + first_delay``
         if given, else ``now + period``; then every ``period`` ns until
-        :meth:`PeriodicHandle.cancel`.  Each fire advances the handle
-        in place -- no allocation, no heap churn -- while drawing a
-        fresh sequence number so ties against one-shots resolve exactly
-        as if the callback had re-scheduled itself with :meth:`after`.
+        :meth:`PeriodicHandle.cancel`.  Each fire draws a fresh
+        sequence number after the callback returns, so ties against
+        one-shots resolve exactly as if the callback had re-scheduled
+        itself with :meth:`after`.
         """
         if period <= 0:
             raise ValueError(
@@ -179,39 +155,19 @@ class Simulator:
         self._seq = seq + 1
         handle = PeriodicHandle(first, seq, period, callback, label)
         handle._owner = self
-        self._wheel.insert(handle)
+        self._handles[handle.key] = handle._fire_cb
+        _heappush(self._heap, handle.key)
         return handle
 
     # ------------------------------------------------------------------
     # Queue hygiene
     # ------------------------------------------------------------------
-    def _cancel_oneshot(self, handle: EventHandle) -> bool:
-        """Cancel a one-shot.
-
-        Kept as the documented seam even though
-        :meth:`EventHandle.cancel` inlines this logic on the hot path;
-        policy here must mirror the inlined copy.
-        """
-        if self._handles.pop(handle.key, None) is None:
-            return False  # already fired or already cancelled
-        dead = self._dead + 1
-        self._dead = dead
-        if not dead & 31:
-            heap = self._heap
-            if dead > len(heap) // 2 and len(heap) >= _COMPACT_FLOOR:
-                self._compact()
-        return True
-
-    def _note_periodic_cancelled(self, handle: PeriodicHandle) -> None:
-        """A periodic was cancelled (handle hook); unlink from wheel."""
-        self._wheel.remove(handle)
-
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify.
 
         heapify preserves the key-ordering contract, so firing order is
         unaffected; only the dead weight goes away.  The list is
-        filtered *in place*: the run loops hold a local reference to
+        filtered *in place*: the run loop holds a local reference to
         it, so its identity must survive a compaction triggered from
         inside a callback.
         """
@@ -229,6 +185,11 @@ class Simulator:
             _heappop(heap)
             self._dead -= 1
 
+    def _periodics(self) -> List[PeriodicHandle]:
+        """The armed periodics: handles whose fire method is pending."""
+        return [cb.__self__ for cb in self._handles.values()
+                if getattr(cb, "__func__", None) is _periodic_fire]
+
     def cancel_pending(self) -> int:
         """Cancel every scheduled one-shot and periodic.
 
@@ -236,118 +197,91 @@ class Simulator:
         bench without firing whatever device timers remain; returns the
         number of events cancelled.
         """
+        for handle in self._periodics():
+            handle._alive = False
         count = len(self._handles)
         self._handles.clear()
         self._heap.clear()
         self._dead = 0
-        for phandle in list(self._wheel.handles()):
-            if phandle.cancel():
-                count += 1
-        run = self._active_run
-        if run:
-            for _, phandle in run:
-                if phandle.cancel():
-                    count += 1
-            run.clear()
         return count
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def peek_time(self) -> Optional[int]:
-        """Timestamp of the next live event, or None if none remain.
-
-        Considers all three holding areas: the one-shot heap, the timer
-        wheel, and any batch run still staged by an (aborted) advance.
-        """
+        """Timestamp of the next live event, or None if none remain."""
         self._discard_dead_head()
-        best: Optional[int] = None  # packed key
         heap = self._heap
-        if heap:
-            best = heap[0]
-        for key, handle in self._active_run:
-            if handle._alive:
-                if best is None or key < best:
-                    best = key
-                break
-        wheel = self._wheel
-        if wheel._count:
-            w = wheel.peek()
-            if best is None or w.key < best:
-                best = w.key
-        return (best >> SEQ_BITS) if best is not None else None
+        return (heap[0] >> SEQ_BITS) if heap else None
 
     def pending_summary(self, max_labels: int = 8) -> str:
         """Human-readable snapshot of what is still scheduled.
 
-        Names the live periodic callbacks (timer ticks, device pacers,
-        fault-injector pacers -- anything armed with a label) and
-        counts the live one-shots; one-shot labels are not retained on
-        the hot path, so they can only be counted.  Periodics staged in
-        an in-flight batch run are folded in and reported separately --
-        before the batched core, an advance aborted mid-run made these
-        events invisible to stall diagnostics.  Used by stall
-        diagnostics to say *what* was (or was not) left running.
+        Counts the armed periodics and names them by label (timer
+        ticks, device pacers, fault-injector pacers), with a count
+        where several share a label; every other pending event is a
+        one-shot, whose labels are not retained on the hot path, so
+        they can only be counted.  The two counts add up to
+        :attr:`events_pending`.  Used by stall diagnostics to say
+        *what* was (or was not) left running.
         """
-        staged = [h for _, h in self._active_run if h._alive]
-        labels = sorted({h.label or "<unlabelled>"
-                         for h in self._wheel.handles() if h.alive}
-                        | {h.label or "<unlabelled>" for h in staged})
-        shown = ", ".join(labels[:max_labels])
+        periodics = self._periodics()
+        counts = Counter(h.label or "<unlabelled>" for h in periodics)
+        labels = [label if n == 1 else f"{label} x{n}"
+                  for label, n in sorted(counts.items())]
+        shown = ", ".join(labels[:max_labels]) or "none"
         if len(labels) > max_labels:
             shown += f", ... ({len(labels) - max_labels} more)"
-        periodics = shown if labels else "none"
-        summary = (f"{len(labels)} periodic ({periodics}); "
-                   f"{len(self._handles)} one-shot")
-        if staged:
-            summary += f"; {len(staged)} staged in an in-flight batch run"
-        return summary
+        return (f"{len(periodics)} periodic ({shown}); "
+                f"{len(self._handles) - len(periodics)} one-shot")
+
+    def _advance(self, limit: int) -> None:
+        """Fire every event with packed key <= *limit*, in key order."""
+        heap = self._heap
+        pop = _heappop
+        get = self._handles.pop
+        fired = 0
+        try:
+            while heap:
+                key = pop(heap)
+                if key > limit:
+                    _heappush(heap, key)  # not due yet: put it back
+                    break
+                cb = get(key, None)
+                if cb is None:
+                    self._dead -= 1
+                    continue
+                self.now = key >> SEQ_BITS
+                fired += 1
+                cb()
+        finally:
+            self._events_fired += fired
 
     def step(self) -> bool:
         """Fire the next event.  Returns False if none remain."""
-        return self._backend.step(self)
-
-    def _fire_periodic(self, handle: PeriodicHandle) -> None:
-        """Fire the wheel head; counts the event (step() path)."""
-        self._events_fired += 1
-        self._fire_one_periodic(handle)
-
-    def _fire_one_periodic(self, handle: PeriodicHandle) -> None:
-        """Fire the wheel head and re-arm it in place (if still alive).
-
-        Does not touch ``_events_fired``; the batched run loops account
-        for fired events themselves.
-        """
-        wheel = self._wheel
-        wheel.remove(handle)
-        self.now = handle.when
-        handle.callback()
-        if handle._alive:
-            # Fresh seq *after* the callback returns -- the re-arm point
-            # of the self-rescheduling idiom this replaces, which is
-            # what keeps (when, seq) ties byte-identical.
-            seq = self._seq
-            self._seq = seq + 1
-            handle.fires += 1
-            when = handle.when + handle.period
-            handle.when = when
-            handle.seq = seq
-            handle.key = (when << SEQ_BITS) | seq
-            wheel.insert(handle)
+        self._discard_dead_head()
+        heap = self._heap
+        if not heap:
+            return False
+        # Every key scheduled from here on is larger than the head's
+        # (seq only grows), so this fires exactly one event.
+        self._advance(heap[0])
+        return True
 
     def run_until(self, when: int) -> None:
         """Fire events up to and including time *when*.
 
         The clock is left at *when* even if the last event fired
         earlier; this gives callers a consistent "the simulated world
-        has reached t" view.  The loop itself is supplied by the
-        active :class:`SimBackend`.
+        has reached t" view.
         """
-        self._backend.run_until(self, when)
+        self._advance(((when + 1) << SEQ_BITS) - 1)
+        if when > self.now:
+            self.now = when
 
     def run(self) -> None:
-        """Fire events until both queues drain (backend-supplied loop)."""
-        self._backend.run(self)
+        """Fire events until the heap drains."""
+        self._advance(_NEVER)
 
     def run_steps(self, count: int) -> int:
         """Fire at most *count* events; returns the number fired."""
@@ -371,17 +305,8 @@ class Simulator:
 
     @property
     def events_pending(self) -> int:
-        """Number of live events still scheduled.
-
-        O(1) plus the (normally empty) staged batch run: entries a
-        batched advance extracted but had not dispatched when it
-        exited are still pending events and are counted here.
-        """
-        pending = len(self._handles) + self._wheel._count
-        run = self._active_run
-        if run:
-            pending += sum(1 for _, h in run if h._alive)
-        return pending
+        """Number of live events still scheduled (O(1))."""
+        return len(self._handles)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Simulator t={self.now} fired={self._events_fired} "

@@ -1,6 +1,6 @@
 """Cancellable events for the simulation core.
 
-The engine's one-shot heap holds *packed integer keys* -- ``(when <<
+The engine's event heap holds *packed integer keys* -- ``(when <<
 44) | seq`` -- never handle objects, so ``heapq`` comparisons are
 single C ``int`` compares with no tuple indirection and no Python
 ``__lt__`` dispatch.  Packing preserves the exact ``(when, seq)``
@@ -14,14 +14,16 @@ it surfaces.  This keeps the classic lazy-deletion contract (O(1)
 cancel, O(log n) schedule) while removing both per-event comparison
 dispatch and per-fire liveness stores from the hot loop.
 
-:class:`EventHandle` is the caller-facing receipt for a one-shot;
-:class:`PeriodicHandle` is the recurring-event handle managed by the
-hierarchical timer wheel (:mod:`repro.sim.wheel`) -- it is re-armed in
-place on every fire, allocating nothing per tick.
+:class:`EventHandle` is the caller-facing receipt for a one-shot.
+:class:`PeriodicHandle` is a recurring event on the same heap: its
+key's table entry is the handle's bound :meth:`PeriodicHandle._fire`,
+which runs the callback and pushes the next period's key, and its
+:meth:`~PeriodicHandle.cancel` is the one-shot cancel.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Callable, Optional
 
 #: Low bits of a packed key hold the schedule sequence number; high
@@ -29,10 +31,11 @@ from typing import Any, Callable, Optional
 SEQ_BITS = 44
 SEQ_MASK = (1 << SEQ_BITS) - 1
 
-#: Compact the one-shot heap only once it is at least this large;
-#: below that the lazy-deletion overhead is noise and compaction would
-#: just churn.
+#: Compact the heap only once it is at least this large; below that
+#: the lazy-deletion overhead is noise and compaction would just churn.
 COMPACT_FLOOR = 64
+
+_heappush = heapq.heappush
 
 
 class EventHandle:
@@ -79,14 +82,17 @@ class EventHandle:
         return self.key >= 0
 
     def cancel(self) -> bool:
-        """Cancel the event.  Returns True if it had not yet fired."""
+        """Cancel the event.  Returns True if it had not yet fired.
+
+        This is the engine's only cancel policy: drop the key from the
+        liveness table and count a dead heap entry; once dead entries
+        outnumber live ones the owner compacts its heap.  The
+        compaction test runs every 32nd dead entry -- the bound only
+        loosens by a constant, and mass-cancel storms skip 31 ``len()``
+        calls out of 32.
+        """
         owner = self._owner
         if owner is not None:
-            # Inlined Simulator._cancel_oneshot: timeout-style
-            # workloads cancel most of what they schedule, so this is
-            # a hot path worth a frame.  The compaction test runs every
-            # 32nd dead entry -- the bound only loosens by a constant,
-            # and mass-cancel storms skip 31 len() calls out of 32.
             if owner._handles.pop(self.key, None) is None:
                 return False  # already fired or already cancelled
             dead = owner._dead + 1
@@ -118,33 +124,28 @@ class EventHandle:
         return f"<EventHandle t={self.when} {self.label or self.callback} {state}>"
 
 
-class PeriodicHandle:
-    """A recurring callback re-armed in place by the timer wheel.
+class PeriodicHandle(EventHandle):
+    """A recurring callback: one heap key per period.
 
-    After each fire the engine assigns the handle a fresh sequence
-    number from the same counter one-shots draw from and advances
-    ``when`` by ``period`` -- so a wheel periodic interleaves with
-    one-shot events at equal timestamps exactly as the naive
-    self-rescheduling ``after()`` loop it replaces did (the byte-
-    identity contract the golden tests pin down).
+    ``key`` is the armed (next) fire.  Each fire draws a fresh
+    sequence number from the counter one-shots draw from, *after* the
+    callback returns -- so a periodic interleaves with one-shot events
+    at equal timestamps exactly as the naive self-rescheduling
+    ``after()`` loop it replaces did (the byte-identity contract the
+    golden tests pin down).
     """
 
-    __slots__ = ("when", "seq", "key", "period", "callback", "label",
-                 "fires", "_alive", "_owner", "_bucket")
+    __slots__ = ("period", "_alive", "_fire_cb")
 
     def __init__(self, when: int, seq: int, period: int,
                  callback: Callable[[], Any],
                  label: Optional[str] = None) -> None:
-        self.when = when
-        self.seq = seq
-        self.key = (when << SEQ_BITS) | seq
+        super().__init__(when, seq, callback, label)
         self.period = period
-        self.callback = callback
-        self.label = label
-        self.fires = 0
         self._alive = True
-        self._owner = None   # set by the scheduling Simulator
-        self._bucket = None  # wheel container, for O(1) removal
+        # The table entry for every armed key, bound once: a fresh
+        # bound method per fire is a GC-tracked allocation per tick.
+        self._fire_cb = self._fire
 
     @property
     def alive(self) -> bool:
@@ -152,13 +153,25 @@ class PeriodicHandle:
         return self._alive
 
     def cancel(self) -> bool:
-        """Stop the stream.  Safe to call from inside the callback."""
+        """Stop the stream.  Safe to call from inside the callback,
+        where the fired key is already gone and only the re-arm stops."""
         if not self._alive:
             return False
         self._alive = False
-        if self._owner is not None:
-            self._owner._note_periodic_cancelled(self)
+        EventHandle.cancel(self)
         return True
+
+    def _fire(self) -> None:
+        """Run the callback, then arm the next period if still alive."""
+        self.callback()
+        if self._alive:
+            owner = self._owner
+            seq = owner._seq
+            owner._seq = seq + 1
+            key = (((self.key >> SEQ_BITS) + self.period) << SEQ_BITS) | seq
+            self.key = key
+            owner._handles[key] = self._fire_cb
+            _heappush(owner._heap, key)
 
     def set_period(self, period_ns: int) -> None:
         """Change the period; takes effect at the next re-arm, like

@@ -32,7 +32,7 @@ def crashme(kernel: "Kernel", name: str = "crashme") -> WorkloadSpec:
             # Jump into it: a handful of instructions execute, then an
             # exception.  Fault handling + signal delivery in the
             # kernel, repeated for each attempt in the buffer.
-            for _ in range(int(rng.integers(2, 8))):  # lint: ok(scalar-rng)
+            for _ in range(int(rng.integers(2, 8))):
                 yield from api.compute(int(rng.uniform(500, 4_000)),
                                        label="crashme:run")
 

@@ -45,7 +45,7 @@ def fs_stress(kernel: "Kernel", name: str = "fs") -> WorkloadSpec:
                         label="fs:blockmap")
                     if disk is not None and api.rng.random() < 0.5:
                         yield from disk.submit_and_wait(
-                            api, sectors=int(rng.integers(8, 128)))  # lint: ok(scalar-rng)
+                            api, sectors=int(rng.integers(8, 128)))
                 else:
                     # In-cache metadata churn: short kernel stretch.
                     yield from api.kernel_section(

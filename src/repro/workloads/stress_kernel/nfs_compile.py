@@ -37,8 +37,8 @@ def nfs_compile(kernel: "Kernel") -> List[WorkloadSpec]:
                                    label="gcc:compile")
             # Source/include reads and object writes over NFS: each is
             # an RPC round trip through the loopback stack.
-            for _ in range(int(rng.integers(2, 6))):  # lint: ok(scalar-rng)
-                packets = int(rng.integers(4, 24))  # lint: ok(scalar-rng)
+            for _ in range(int(rng.integers(2, 6))):
+                packets = int(rng.integers(4, 24))
 
                 def rpc(packets=packets) -> Generator:
                     cost = packets * api.timing.sample(
@@ -67,7 +67,7 @@ def nfs_compile(kernel: "Kernel") -> List[WorkloadSpec]:
                     # during the section, the reply work sits pending
                     # and the next interrupt exit on this CPU runs it
                     # -- the bottom-half burst of section 6.2.
-                    reply = int(api.rng.integers(2, 16))  # lint: ok(scalar-rng)
+                    reply = int(api.rng.integers(2, 16))
                     yield op.Call(net.loopback_deliver, (reply,))
                     # Exported-filesystem work: a potentially long
                     # kernel stretch plus dcache traffic.

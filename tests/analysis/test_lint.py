@@ -156,65 +156,6 @@ class TestDirectTraceEmit:
         assert findings == []
 
 
-class TestScalarRng:
-    def test_attribute_receiver_in_hot_module_flagged(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path, "def f(self):\n"
-                      "    return int(self.gen.integers(0, 8))\n",
-            name="repro/kernel/snippet.py")
-        assert _rules(findings) == ["scalar-rng"]
-
-    def test_bound_stream_in_hot_module_is_fine(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path, "def f(rng, lo, hi):\n"
-                      "    return int(rng.integers(lo, hi + 1))\n",
-            name="repro/kernel/snippet.py")
-        assert findings == []
-
-    def test_vectorized_draw_is_fine(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path, "def f(self):\n"
-                      "    return self.gen.integers(0, 8, size=64)\n",
-            name="repro/sim/snippet.py")
-        assert findings == []
-
-    def test_positional_size_is_fine(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path, "def f(self):\n"
-                      "    return self.gen.integers(0, 8, 64)\n",
-            name="repro/sim/snippet.py")
-        assert findings == []
-
-    def test_cold_dir_flags_bare_name_draws(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path, "def f(rng):\n"
-                      "    return int(rng.integers(2, 8))\n",
-            name="repro/workloads/snippet.py")
-        assert _rules(findings) == ["scalar-rng"]
-
-    def test_cold_dir_escape_comment(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path,
-            "def f(rng):\n"
-            "    return int(rng.integers(2, 8))  # lint: ok(scalar-rng)\n",
-            name="repro/faults/snippet.py")
-        assert findings == []
-
-    def test_rng_module_is_allowlisted(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path, "def f(self, low, high):\n"
-                      "    return self._gen.integers(low, high)\n",
-            name="repro/sim/rng.py")
-        assert findings == []
-
-    def test_experiment_layer_not_in_scope(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path, "def f(self):\n"
-                      "    return int(self.gen.integers(0, 8))\n",
-            name="repro/experiments/snippet.py")
-        assert findings == []
-
-
 class TestPairedAcquireRelease:
     def test_unmatched_acquire_flagged(self, tmp_path):
         findings = _lint_snippet(

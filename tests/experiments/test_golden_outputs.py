@@ -1,6 +1,6 @@
 """Byte-identity goldens for every registered scenario.
 
-The fast-path event core (timer wheel, tuple heap, batched recorders)
+The fast-path event core (packed-key heap, batched recorders)
 is required to be a pure performance change: every scenario must
 export byte-identical JSON before and after.  This test pins that down
 by comparing each scenario's exported JSON -- at reduced but

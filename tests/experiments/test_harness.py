@@ -1,5 +1,7 @@
 """Tests for the experiment harness."""
 
+import re
+
 import pytest
 
 from repro.configs.kernels import redhawk_1_4, vanilla_2_4_21
@@ -73,27 +75,6 @@ class TestBuildBench:
         assert "never-test" in str(exc.value)
         assert bench.sim.now == 0
 
-    def test_run_until_done_sees_staged_batched_run(self):
-        """Events parked in the batched backend's in-flight run must
-        count as pending work, not as a drained (stalled) simulation."""
-        bench = build_bench(vanilla_2_4_21())
-
-        class Never:
-            finished = False
-            name = "never-test"
-
-        bench.sim.cancel_pending()
-        fired = []
-        bench.sim.periodic(1_000_000, lambda: fired.append(bench.sim.now),
-                           label="staged-pacer")
-        # Park the stream in the active run, as an exceptional exit
-        # from a batched advance would.
-        bench.sim._wheel.extract_upto((10_000_000 + 1) << 44,
-                                      bench.sim._active_run)
-        assert bench.sim._active_run
-        bench.run_until_done(Never(), limit_ns=5_000_000)
-        assert fired  # the staged stream ran instead of stalling
-
     def test_strict_limit_diagnostic_reports_pending_state(self):
         bench = build_bench(vanilla_2_4_21())
         bench.start_devices()
@@ -107,8 +88,11 @@ class TestBuildBench:
                                  strict_limit=True)
         message = str(exc.value)
         assert "never-test" in message
-        assert "backend=" in message
-        assert "events still pending" in message
+        pending = bench.sim.events_pending
+        assert f"({pending} events still pending)" in message
+        periodic, oneshot = re.search(
+            r"pending: (\d+) periodic .*; (\d+) one-shot", message).groups()
+        assert int(periodic) + int(oneshot) == pending
 
     def test_machine_spec_selection(self):
         bench = build_bench(vanilla_2_4_21(),

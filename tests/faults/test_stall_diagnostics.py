@@ -46,6 +46,16 @@ class TestPendingSummary:
         assert "(4 more)" not in summary  # 12 - 3 = 9 more
         assert "(9 more)" in summary
 
+    def test_counts_add_up_on_a_started_bench(self):
+        # Two CPUs share the ltmr label: each live periodic is counted,
+        # and the one-shots are the rest of what is pending.
+        bench = build_bench(vanilla_2_4_21())
+        bench.start_devices()
+        summary = bench.sim.pending_summary()
+        assert summary.startswith("3 periodic (ltmr x2, membus-epoch); ")
+        oneshots = int(summary.rsplit("; ", 1)[1].split()[0])
+        assert 3 + oneshots == bench.sim.events_pending
+
     def test_cancelled_periodics_are_not_listed(self):
         sim = Simulator()
         handle = sim.periodic(1000, lambda: None, label="gone")

@@ -27,6 +27,14 @@ class TestDistributions:
         assert d.sample(rng) == 500
         assert d.mean() == 500.0
 
+    def test_const_dists_draw_nothing(self):
+        stream = np.random.default_rng(41)
+        mirror = np.random.default_rng(41)
+        c = Const(123)
+        for _ in range(10):
+            assert c.sample(stream) == 123
+        assert stream.integers(0, 10 ** 9) == mirror.integers(0, 10 ** 9)
+
     def test_uniform_bounds(self, rng):
         d = Uniform(10, 20)
         samples = [d.sample(rng) for _ in range(200)]

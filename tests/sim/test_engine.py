@@ -6,6 +6,50 @@ from repro.sim.engine import Simulator
 from repro.sim.errors import SchedulingInPastError, SimulationStalledError
 
 
+def _trace_schedule(sim, log):
+    """An adversarial mixed schedule; appends (tag, now) to *log*.
+
+    Returns the list of periodic handles (grown when callbacks arm
+    more) so callers can cancel the streams and drain.
+    """
+    periodics = []
+
+    def note(tag):
+        return lambda: log.append((tag, sim.now))
+
+    # One-shots colliding with periodic fires at t=100, 200, 300.
+    periodics.append(sim.periodic(100, note("p100"), label="p100"))
+    sim.at(100, note("a@100"))
+    sim.at(200, note("a@200"))
+    q = sim.periodic(150, note("p150"), label="p150")
+    periodics.append(q)
+
+    # A callback that schedules more work between periodic fires.
+    def chain():
+        log.append(("chain", sim.now))
+        sim.after(5, note("chained+5"))
+        sim.after(175, note("chained+175"))
+    sim.at(120, chain)
+
+    # A callback that cancels a periodic mid-run.
+    def killer():
+        log.append(("killer", sim.now))
+        q.cancel()
+    sim.at(290, killer)
+
+    # A callback that arms a *new* periodic.
+    def armer():
+        log.append(("armer", sim.now))
+        periodics.append(sim.periodic(7, note("late-p7"), label="late-p7"))
+    sim.at(301, armer)
+
+    # Cancelled one-shot noise (lazy deletion must skip these).
+    doomed = [sim.after(140 + i, note("doomed")) for i in range(20)]
+    for handle in doomed:
+        handle.cancel()
+    return periodics
+
+
 class TestScheduling:
     def test_events_fire_in_time_order(self, sim):
         order = []
@@ -107,6 +151,54 @@ class TestRunModes:
             sim.at(i + 1, lambda: None)
         sim.run()
         assert sim.events_fired == 7
+
+    def test_events_always_fire_even_at_huge_times(self, sim):
+        fired = []
+        sim.at(1 << 60, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [1 << 60]
+
+    def test_exception_in_callback_leaves_consistent_state(self, sim):
+        fired = []
+        sim.periodic(100, lambda: fired.append(sim.now))
+
+        def boom():
+            raise RuntimeError("callback exploded")
+        sim.at(250, boom)
+        with pytest.raises(RuntimeError, match="callback exploded"):
+            sim.run_until(1000)
+        assert sim.events_pending >= 1
+        sim.run_until(1000)
+        assert fired == [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]
+
+    def test_step_run_until_and_run_give_one_history(self):
+        """Every run mode fires the adversarial schedule identically."""
+        def history(advance):
+            sim = Simulator(seed=7)
+            log = []
+            periodics = _trace_schedule(sim, log)
+
+            def stop():
+                for handle in periodics:
+                    handle.cancel()
+            sim.at(460, stop)  # ends the free-running streams
+            advance(sim)
+            return log, sim.now, sim.events_fired
+
+        def by_step(sim):
+            while sim.step():
+                pass
+
+        def by_run_until(sim):
+            for t in (99, 100, 101, 149, 290, 300, 455):
+                sim.run_until(t)
+                assert sim.now == t
+            sim.run()
+
+        stepped = history(by_step)
+        assert stepped[1:] == (460, 35)
+        assert history(by_run_until) == stepped
+        assert history(Simulator.run) == stepped
 
 
 class TestEventChaining:

@@ -1,8 +1,8 @@
-"""Property test: the timer wheel's ``periodic()`` is observationally
+"""Property test: ``Simulator.periodic()`` is observationally
 identical to the naive self-rescheduling ``after()`` idiom it replaced.
 
-The contract (see ``Simulator.periodic``): each fire advances the
-handle in place, drawing a fresh sequence number *after* the callback
+The contract (see ``Simulator.periodic``): each fire pushes the next
+period's key with a fresh sequence number drawn *after* the callback
 returns -- exactly the point where the old idiom's re-arm call sat.
 If that holds, any mix of periodic timers, one-shot events (including
 exact-time ties) and mid-stream cancellations must produce the same
@@ -41,7 +41,7 @@ def _run_naive(timers, oneshots, cancels, horizons):
     return log
 
 
-def _run_wheel(timers, oneshots, cancels, horizons):
+def _run_periodic(timers, oneshots, cancels, horizons):
     """The same scenario through Simulator.periodic()."""
     sim = Simulator(seed=1)
     log = []
@@ -91,8 +91,8 @@ class TestPeriodicEquivalence:
         # Run in two chunks to exercise the run_until boundary mid-stream.
         horizons = sorted((plan["split"], 300))
         naive = _run_naive(timers, plan["oneshots"], cancels, horizons)
-        wheel = _run_wheel(timers, plan["oneshots"], cancels, horizons)
-        assert wheel == naive
+        periodic = _run_periodic(timers, plan["oneshots"], cancels, horizons)
+        assert periodic == naive
 
     def test_exact_time_ties_resolve_identically(self):
         # Two periodics and one-shots all colliding at multiples of 10:
@@ -101,20 +101,20 @@ class TestPeriodicEquivalence:
         timers = [(10, 10, None), (10, 5, None)]
         oneshots = [10, 20, 20, 30]
         naive = _run_naive(timers, oneshots, [], [60])
-        wheel = _run_wheel(timers, oneshots, [], [60])
-        assert wheel == naive
-        assert any(entry[0] == "o" for entry in wheel)
+        periodic = _run_periodic(timers, oneshots, [], [60])
+        assert periodic == naive
+        assert any(entry[0] == "o" for entry in periodic)
 
     def test_cancel_inside_callback_stops_rearm(self):
         timers = [(5, 7, 3)]
         naive = _run_naive(timers, [], [], [1000])
-        wheel = _run_wheel(timers, [], [], [1000])
-        assert wheel == naive
-        assert len([e for e in wheel if e[0] == "p"]) == 3
+        periodic = _run_periodic(timers, [], [], [1000])
+        assert periodic == naive
+        assert len([e for e in periodic if e[0] == "p"]) == 3
 
     def test_external_cancel_matches(self):
         timers = [(0, 9, None), (4, 9, None)]
         cancels = [(30, 0), (31, 1)]
         naive = _run_naive(timers, [], cancels, [200])
-        wheel = _run_wheel(timers, [], cancels, [200])
-        assert wheel == naive
+        periodic = _run_periodic(timers, [], cancels, [200])
+        assert periodic == naive
