@@ -50,6 +50,28 @@ def _trace_schedule(sim, log):
     return periodics
 
 
+def _history(advance):
+    """Run the adversarial schedule with *advance*; return what it saw.
+
+    Every run mode must fire the schedule identically.
+    """
+    sim = Simulator(seed=7)
+    log = []
+    periodics = _trace_schedule(sim, log)
+
+    def stop():
+        for handle in periodics:
+            handle.cancel()
+    sim.at(460, stop)  # ends the free-running streams
+    advance(sim)
+    return log, sim.now, sim.events_fired
+
+
+def _by_step(sim):
+    while sim.step():
+        pass
+
+
 class TestScheduling:
     def test_events_fire_in_time_order(self, sim):
         order = []
@@ -171,34 +193,33 @@ class TestRunModes:
         sim.run_until(1000)
         assert fired == [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]
 
-    def test_step_run_until_and_run_give_one_history(self):
-        """Every run mode fires the adversarial schedule identically."""
-        def history(advance):
-            sim = Simulator(seed=7)
-            log = []
-            periodics = _trace_schedule(sim, log)
+    def test_run_until_advances_clock_past_last_periodic_fire(self, sim):
+        fired = []
+        sim.at(10, lambda: None)
+        sim.periodic(300, lambda: fired.append(sim.now))
+        sim.run_until(1000)
+        assert sim.now == 1000
+        assert fired == [300, 600, 900]
+        assert sim.peek_time() == 1200
 
-            def stop():
-                for handle in periodics:
-                    handle.cancel()
-            sim.at(460, stop)  # ends the free-running streams
-            advance(sim)
-            return log, sim.now, sim.events_fired
+    def test_step_matches_run(self):
+        stepped = _history(_by_step)
+        assert stepped[1:] == (460, 35)
+        assert _history(Simulator.run) == stepped
 
-        def by_step(sim):
-            while sim.step():
-                pass
+    def test_run_until_then_drain_matches_step(self):
+        def by_run_until(sim):
+            sim.run_until(460)
+            sim.run()
+        assert _history(by_run_until) == _history(_by_step)
 
+    def test_interleaved_run_until_matches_step(self):
         def by_run_until(sim):
             for t in (99, 100, 101, 149, 290, 300, 455):
                 sim.run_until(t)
                 assert sim.now == t
             sim.run()
-
-        stepped = history(by_step)
-        assert stepped[1:] == (460, 35)
-        assert history(by_run_until) == stepped
-        assert history(Simulator.run) == stepped
+        assert _history(by_run_until) == _history(_by_step)
 
 
 class TestEventChaining:
