@@ -25,10 +25,13 @@ mechanism terms instead of a CRC mismatch.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.store.entry import (StoreCorruptError, decode_recording,
+                               encode_recording)
+from repro.store.keys import code_version, digest_of
+from repro.store.store import write_atomic
 
 #: Recording body schema version (inside the RTRACE1 payload).
 RECORDING_FORMAT = 1
@@ -41,10 +44,6 @@ _FAULT_FIELDS = ("plan", "intensity", "enabled", "injections",
 
 class RecordingError(ValueError):
     """A recording body failed validation or could not be loaded."""
-
-
-def _canonical_json(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -85,8 +84,7 @@ class TraceRecording:
 
     def events_digest(self) -> str:
         """Hex SHA-256 of the canonical event stream."""
-        text = _canonical_json(self.events)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return digest_of(self.events)
 
     def describe(self) -> str:
         shield = "shielded" if self.shielded else "unshielded"
@@ -162,35 +160,30 @@ class TraceRecording:
         """Write this recording as a standalone RTRACE1 file.
 
         The file *is* a store entry (same frame, same CRC trailer),
-        keyed by the digest of its own body so it self-validates.
+        keyed by the digest of its own body so it self-validates:
+        :meth:`load` recomputes that digest and refuses a mismatch.
         """
-        import os
-
-        from repro.store.entry import encode_recording
-        from repro.store.keys import digest_of
-
         body = self.to_body()
-        blob = encode_recording(body, digest_of(body), self.code)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-        return path
+        return write_atomic(
+            path, encode_recording(body, digest_of(body), self.code))
 
     @classmethod
     def load(cls, path: str) -> "TraceRecording":
         """Read a standalone RTRACE1 file back into a recording."""
-        from repro.store.entry import StoreCorruptError, decode_recording
-
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
         except OSError as exc:
             raise RecordingError(f"cannot read {path}: {exc}") from None
         try:
-            _meta, body = decode_recording(blob)
+            meta, body = decode_recording(blob)
         except StoreCorruptError as exc:
             raise RecordingError(f"{path}: {exc}") from None
+        digest = digest_of(body)
+        if meta.get("key") != digest:
+            raise RecordingError(
+                f"{path}: body digest {digest} does not match "
+                f"its key {meta.get('key')}")
         return cls.from_body(body)
 
 
@@ -224,8 +217,6 @@ def recording_from_run(tracer: Any, spec: Any,
     *result* the finished ``ScenarioResult`` (for the fault summary
     and kernel description).
     """
-    from repro.store.keys import code_version
-
     tp = tracer.tp
     events = [[e.time, e.cpu, int(e.tp), list(e.args)]
               for e in tp.events()]

@@ -26,7 +26,7 @@ from repro.store.entry import (
     result_from_entry,
 )
 from repro.store.keys import (
-    canonical,
+    canonical_json,
     code_version,
     digest_of,
     job_key,
@@ -48,7 +48,7 @@ __all__ = [
     "ResultStore",
     "StoreCorruptError",
     "StoreEntry",
-    "canonical",
+    "canonical_json",
     "code_version",
     "decode",
     "decode_recording",

@@ -187,11 +187,12 @@ def encode_recording(body: Dict[str, Any], key: str,
     *body* is the plain-dict recording produced by
     :mod:`repro.observe.diff.recording`; it is stored as
     zlib-compressed canonical JSON so an entry stays a few hundred KB
-    even with tens of thousands of tracepoint events.
+    even with tens of thousands of tracepoint events.  zlib's default
+    level 6 runs 4-5x faster than level 9; sizes differ by about 1%.
     """
     raw = json.dumps(body, sort_keys=True,
                      separators=(",", ":")).encode("utf-8")
-    payload = zlib.compress(raw, 9)
+    payload = zlib.compress(raw, 6)
     meta: Dict[str, Any] = {
         "format": FORMAT_VERSION,
         "entry_kind": "rtrace",

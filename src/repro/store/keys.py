@@ -4,7 +4,7 @@ A run's identity is the pair *(what would execute, what code would
 execute it)*:
 
 * **what** -- every field of the :class:`~repro.experiments.scenario.
-  ScenarioSpec`, recursively canonicalised: dataclasses become
+  ScenarioSpec`, encoded by :func:`canonical_json`: dataclasses become
   ``{"__dataclass__": name, fields...}`` maps, mappings are sorted by
   key, and the ``config_overrides`` pair-tuple is order-insensitive
   (two specs differing only in override insertion order share a key);
@@ -14,10 +14,11 @@ execute it)*:
   golden suites prove, but the store never assumes it: a changed tree
   is a changed key, and re-running repopulates the store.
 
-Keys are hex SHA-256 digests of the canonical JSON encoding; they are
-stable across processes, platforms and Python versions (the encoding
-uses ``sort_keys`` and no floats-from-repr ambiguity beyond what JSON
-itself defines).
+Keys are hex SHA-256 digests of :func:`canonical_json`, the store's one
+encoder: a single ``json.dumps`` call, so a plain-JSON body (a trace
+recording) encodes entirely in C.  Keys are stable across processes,
+platforms and Python versions (the encoding uses ``sort_keys`` and no
+floats-from-repr ambiguity beyond what JSON itself defines).
 """
 
 from __future__ import annotations
@@ -33,31 +34,32 @@ from typing import Any, Dict, Optional
 _CODE_VERSIONS: Dict[str, str] = {}
 
 
-def canonical(value: Any) -> Any:
-    """Recursively reduce *value* to a JSON-stable canonical form."""
+def _non_json(value: Any) -> Any:
+    """``json.dumps`` hook for values JSON cannot encode natively."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        out: Dict[str, Any] = {
-            "__dataclass__": type(value).__name__,
-        }
+        out: Dict[str, Any] = {"__dataclass__": type(value).__name__}
         for field in dataclasses.fields(value):
-            out[field.name] = canonical(getattr(value, field.name))
+            out[field.name] = getattr(value, field.name)
         return out
-    if isinstance(value, dict):
-        return {str(k): canonical(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [canonical(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
     # Last resort for exotic override values: a typed repr is stable
     # enough to key on and never silently collides with JSON scalars.
     return {"__repr__": f"{type(value).__name__}:{value!r}"}
 
 
+def canonical_json(value: Any) -> str:
+    """The canonical JSON text of *value*: what every store key hashes.
+
+    Mapping keys must be strings: ``sort_keys`` would order int keys
+    numerically and reject a mix of key types.
+    """
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      default=_non_json)
+
+
 def digest_of(value: Any) -> str:
-    """Hex SHA-256 of the canonical JSON encoding of *value*."""
-    text = json.dumps(canonical(value), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """Hex SHA-256 of :func:`canonical_json` of *value*."""
+    return hashlib.sha256(
+        canonical_json(value).encode("utf-8")).hexdigest()
 
 
 def _package_root() -> str:
@@ -97,13 +99,11 @@ def code_version(root: Optional[str] = None) -> str:
 
 
 def _canonical_spec(spec: Any) -> Any:
-    """Canonical spec form with order-insensitive config overrides."""
-    form = canonical(spec)
-    overrides = form.get("config_overrides")
-    if isinstance(overrides, list):
-        form["config_overrides"] = sorted(
-            overrides, key=lambda pair: json.dumps(pair, sort_keys=True))
-    return form
+    """*spec* with its config overrides in a canonical order."""
+    return dataclasses.replace(spec, config_overrides=tuple(sorted(
+        spec.config_overrides,
+        key=lambda pair: json.dumps(pair, sort_keys=True,
+                                    default=_non_json))))
 
 
 def job_key(spec: Any, code: Optional[str] = None) -> str:

@@ -50,14 +50,23 @@ ENTRY_SUFFIXES = (".rrs", ".rts")
 #: CLI and benchmarks use this unless told otherwise.
 DEFAULT_STORE_DIR = ".repro-store"
 
-#: Process-wide tmp-file sequence.  Two *processes* writing the same
-#: key already get distinct tmp names from the pid; the counter makes
-#: the name unique per writer *within* a process too (the service
-#: scheduler and worker threads may race on one hot key), so no two
-#: writers ever share a tmp path and ``os.replace`` keeps every entry
-#: whole -- last writer wins, both succeed, no torn bytes.
-#: ``itertools.count`` is atomic under the GIL.
+#: Process-wide tmp-file sequence (atomic under the GIL).
 _TMP_SEQ = itertools.count()
+
+
+def write_atomic(path: str, blob: bytes) -> str:
+    """Write *blob* to *path* via a writer-unique tmp + ``os.replace``.
+
+    The pid keeps two processes' tmp names apart and :data:`_TMP_SEQ`
+    two threads' (the service scheduler and worker threads may race on
+    one hot key), so no two writers share a tmp path: last writer
+    wins, all succeed, no torn bytes.
+    """
+    tmp = f"{path}.{os.getpid()}.{next(_TMP_SEQ)}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(blob)
+    os.replace(tmp, path)
+    return path
 
 
 @dataclass
@@ -162,11 +171,7 @@ class ResultStore:
         if path is None:
             path = self.path_for(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = f"{path}.{os.getpid()}.{next(_TMP_SEQ)}.tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-        return path
+        return write_atomic(path, blob)
 
     def put(self, key: str, result: Any,
             code: Optional[str] = None) -> str:

@@ -1,6 +1,9 @@
 """Trace recordings: capture, exact closure, persistence, ring wrap."""
 
 import json
+import os
+import sys
+import threading
 
 import pytest
 
@@ -10,10 +13,13 @@ from repro.observe.diff import (
     TraceRecording,
     diff_recordings,
     extract_spans,
+    golden_names,
+    golden_path,
     record_scenario,
     spec_for_recording,
 )
 from repro.observe.tracer import TraceConfig
+from repro.store import decode_recording, digest_of, encode_recording
 
 
 def _spec(samples=40, **kw):
@@ -83,6 +89,54 @@ class TestPersistence:
     def test_missing_file_raises_recording_error(self, tmp_path):
         with pytest.raises(RecordingError):
             TraceRecording.load(str(tmp_path / "nope.rtrace"))
+
+    def test_body_that_no_longer_matches_its_key_is_refused(
+            self, fig6_rec, tmp_path):
+        # A changed body re-framed under its old key passes the CRC and
+        # length checks; only the body digest can catch it.
+        path = str(tmp_path / "fig6.rtrace")
+        fig6_rec.save(path)
+        with open(path, "rb") as fh:
+            meta, body = decode_recording(fh.read())
+        body["dropped"] += 1
+        with open(path, "wb") as fh:
+            fh.write(encode_recording(body, meta["key"], meta["code"]))
+        with pytest.raises(RecordingError) as info:
+            TraceRecording.load(path)
+        assert meta["key"] in str(info.value)
+        assert digest_of(body) in str(info.value)
+
+    @pytest.mark.parametrize("name", golden_names())
+    def test_committed_goldens_self_validate(self, name):
+        rec = TraceRecording.load(golden_path(name))
+        assert rec.samples
+
+    def test_threads_saving_one_path_leave_it_whole(self, fig6_rec,
+                                                    tmp_path):
+        path = str(tmp_path / "fig6.rtrace")
+        errors = []
+
+        def saver():
+            try:
+                for _ in range(10):
+                    fig6_rec.save(path)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=saver) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert TraceRecording.load(path).to_body() == fig6_rec.to_body()
+        assert os.listdir(tmp_path) == ["fig6.rtrace"]
 
     def test_unsupported_format_rejected(self, fig6_rec):
         body = fig6_rec.to_body()
