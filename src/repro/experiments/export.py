@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional, Sequence, TYPE_CHECKING
 
+import numpy as np
+
 from repro.experiments.determinism import DeterminismResult
 from repro.experiments.interrupt_response import LatencyResult
 from repro.metrics.histogram import Histogram, LogHistogram
@@ -38,7 +40,7 @@ def determinism_to_dict(result: DeterminismResult,
         "max_s": result.max_ns / 1e9,
         "jitter_s": result.jitter_ns / 1e9,
         "jitter_percent": result.jitter_percent,
-        "variance_ms_series": [float(v) for v in variances],
+        "variance_ms_series": variances.tolist(),
         "histogram": {
             "unit": "ms-from-ideal",
             "bins": [{"lo": b.lo, "hi": b.hi, "count": b.count}
@@ -54,7 +56,7 @@ def latency_to_dict(result: LatencyResult,
     """Flatten a latency result (Figures 5-7 style)."""
     rec = result.recorder
     hist = LogHistogram(hist_lo_ns, hist_hi_ns)
-    hist.add_many([max(s, hist_lo_ns + 1) for s in rec.samples])
+    hist.add_many(np.maximum(rec.as_array(), hist_lo_ns + 1))
     out: Dict[str, Any] = {
         "figure": result.figure,
         "kernel": result.kernel_name,

@@ -5,13 +5,22 @@ per latency bin; the summaries under them are cumulative bucket
 tables.  :class:`Histogram` bins linearly (the determinism figures);
 :class:`LogHistogram` uses logarithmic bin edges suited to latency
 distributions spanning 10 us .. 100 ms.
+
+Binning is one vectorised pass: ``add_many`` classifies a whole
+sample array at once, applying the scalar rule to every element --
+``< lo`` is underflow, ``>= hi`` is overflow, anything else lands in
+the bin the subclass's ``_index`` picks -- and counts the result with
+one ``np.bincount``.  ``add`` is ``add_many`` of one value, so there is
+a single binning rule.  Samples are converted to float64, which is
+exact for the integer nanosecond latencies the exporters feed (all
+below 2**53).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -23,7 +32,54 @@ class BinCount:
     count: int
 
 
-class Histogram:
+class _Binned:
+    """Shared counting over ``nbins`` bins plus under/overflow slots.
+
+    Subclasses set ``lo``, ``hi``, ``nbins``, the ``nbins + 1`` bin
+    ``edges`` and ``counts`` (``nbins + 2`` slots: underflow, the bins,
+    overflow), and map in-range values to bin indices in
+    :meth:`_index`.
+    """
+
+    lo: float
+    hi: float
+    nbins: int
+    edges: np.ndarray
+    counts: np.ndarray
+
+    def _index(self, inside: np.ndarray) -> np.ndarray:
+        """Bin index (``0 .. nbins``) of each value in ``[lo, hi)``.
+
+        Index ``nbins`` counts as overflow: float rounding can put a
+        value just below ``hi`` there.
+        """
+        raise NotImplementedError
+
+    def add(self, value: float) -> None:
+        self.add_many((value,))
+
+    def add_many(self, values: Sequence[float]) -> None:
+        v = np.asarray(values, dtype=np.float64)
+        if np.isnan(v).any():
+            raise ValueError("cannot bin a NaN sample")
+        under = v < self.lo
+        over = v >= self.hi
+        idx = self._index(v[~(under | over)])
+        self.counts[0] += np.count_nonzero(under)
+        self.counts[-1] += np.count_nonzero(over)
+        self.counts[1:] += np.bincount(idx, minlength=self.nbins + 1)
+
+    def bins(self) -> List[BinCount]:
+        edges = self.edges.tolist()
+        counts = self.counts[1:-1].tolist()
+        return [BinCount(lo, hi, count)
+                for lo, hi, count in zip(edges, edges[1:], counts)]
+
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+
+class Histogram(_Binned):
     """Fixed-width linear histogram."""
 
     def __init__(self, lo: float, hi: float, nbins: int) -> None:
@@ -32,20 +88,13 @@ class Histogram:
         self.lo = lo
         self.hi = hi
         self.nbins = nbins
+        width = (hi - lo) / nbins
+        self.edges = lo + np.arange(nbins + 1) * width
         self.counts = np.zeros(nbins + 2, dtype=np.int64)  # +under/overflow
 
-    def add(self, value: float) -> None:
-        if value < self.lo:
-            self.counts[0] += 1
-        elif value >= self.hi:
-            self.counts[-1] += 1
-        else:
-            idx = int((value - self.lo) / (self.hi - self.lo) * self.nbins)
-            self.counts[1 + idx] += 1
-
-    def add_many(self, values: Sequence[float]) -> None:
-        for v in values:
-            self.add(v)
+    def _index(self, inside: np.ndarray) -> np.ndarray:
+        return ((inside - self.lo) / (self.hi - self.lo)
+                * self.nbins).astype(np.int64)
 
     @property
     def underflow(self) -> int:
@@ -55,24 +104,8 @@ class Histogram:
     def overflow(self) -> int:
         return int(self.counts[-1])
 
-    def bins(self) -> List[BinCount]:
-        width = (self.hi - self.lo) / self.nbins
-        return [BinCount(self.lo + i * width, self.lo + (i + 1) * width,
-                         int(self.counts[1 + i]))
-                for i in range(self.nbins)]
 
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def merge_from(self, other: "Histogram") -> None:
-        """Add *other*'s counts bin-for-bin (identical binning only)."""
-        if (other.lo, other.hi, other.nbins) != (self.lo, self.hi,
-                                                 self.nbins):
-            raise ValueError("cannot merge histograms with different bins")
-        self.counts += other.counts
-
-
-class LogHistogram:
+class LogHistogram(_Binned):
     """Histogram with logarithmically spaced bin edges."""
 
     def __init__(self, lo: float, hi: float, bins_per_decade: int = 10) -> None:
@@ -86,34 +119,9 @@ class LogHistogram:
                                  self.nbins + 1)
         self.counts = np.zeros(self.nbins + 2, dtype=np.int64)
 
-    def add(self, value: float) -> None:
-        if value < self.lo:
-            self.counts[0] += 1
-        elif value >= self.hi:
-            self.counts[-1] += 1
-        else:
-            idx = int(np.searchsorted(self.edges, value, side="right")) - 1
-            idx = min(max(idx, 0), self.nbins - 1)
-            self.counts[1 + idx] += 1
-
-    def add_many(self, values: Sequence[float]) -> None:
-        for v in values:
-            self.add(v)
-
-    def bins(self) -> List[BinCount]:
-        return [BinCount(float(self.edges[i]), float(self.edges[i + 1]),
-                         int(self.counts[1 + i]))
-                for i in range(self.nbins)]
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def merge_from(self, other: "LogHistogram") -> None:
-        """Add *other*'s counts bin-for-bin (identical binning only)."""
-        if (other.lo, other.hi, other.nbins) != (self.lo, self.hi,
-                                                 self.nbins):
-            raise ValueError("cannot merge histograms with different bins")
-        self.counts += other.counts
+    def _index(self, inside: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(self.edges, inside, side="right") - 1
+        return np.clip(idx, 0, self.nbins - 1)
 
     def render_ascii(self, width: int = 60, unit: str = "ms",
                      scale: float = 1e6) -> str:

@@ -15,9 +15,10 @@ POST      /jobs/<id>/cancel               cancel a queued job
 GET       /health                         queue + store + pool health
 ========  ==============================  ===============================
 
-Error mapping: bad spec -> 400, unknown job -> 404, artifact of an
-unfinished job -> 409, queue full -> 429 (back-pressure), draining ->
-503.  All error bodies are ``{"error": ...}`` JSON.
+Error mapping: bad spec or malformed request (``Content-Length``,
+``?wait=``) -> 400, unknown job -> 404, artifact of an unfinished job
+-> 409, queue full -> 429 (back-pressure), draining -> 503.  All error
+bodies are ``{"error": ...}`` JSON.
 
 The artifact route serves :attr:`JobArtifact.artifact` verbatim --
 the same ``to_json(...) + "\\n"`` text the one-shot CLI writes to its
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -69,6 +71,18 @@ def _response(status: int, body: bytes, content_type: str) -> bytes:
 def _json_response(status: int, data: Any) -> bytes:
     body = (json.dumps(data, sort_keys=True) + "\n").encode("utf-8")
     return _response(status, body, "application/json")
+
+
+def _wait_seconds(raw: str) -> float:
+    """The ``?wait=`` long-poll timeout, capped at :data:`MAX_WAIT_S`."""
+    try:
+        seconds = float(raw)
+    except ValueError:
+        seconds = math.nan
+    if not seconds >= 0.0:  # also rejects NaN
+        raise HttpError(400, f"wait must be a non-negative number of "
+                        f"seconds, got {raw!r}")
+    return min(seconds, MAX_WAIT_S)
 
 
 class ServiceServer:
@@ -146,7 +160,11 @@ class ServiceServer:
             if ":" in line:
                 name, value = line.split(":", 1)
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise HttpError(400, f"Content-Length must be a non-negative "
+                            f"integer, got {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_REQUEST_BYTES:
             raise HttpError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
@@ -206,7 +224,7 @@ class ServiceServer:
             raise HttpError(404, f"unknown job {job_id!r}") from None
         if not rest and method == "GET":
             if "wait" in query:
-                timeout = min(float(query["wait"]), MAX_WAIT_S)
+                timeout = _wait_seconds(query["wait"])
                 try:
                     record = await self.scheduler.wait_for(
                         job_id, timeout=timeout)

@@ -1,10 +1,75 @@
 """Unit and property tests for the histograms."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.metrics.histogram import Histogram, LogHistogram
+from repro.metrics.histogram import BinCount, Histogram, LogHistogram
+
+
+# -- per-value reference rules (the loops add_many replaced) -------------
+def loop_linear_counts(h, values):
+    counts = [0] * (h.nbins + 2)
+    for v in values:
+        if v < h.lo:
+            counts[0] += 1
+        elif v >= h.hi:
+            counts[-1] += 1
+        else:
+            idx = int((v - h.lo) / (h.hi - h.lo) * h.nbins)
+            counts[1 + idx] += 1
+    return counts
+
+
+def loop_log_counts(h, values):
+    counts = [0] * (h.nbins + 2)
+    for v in values:
+        if v < h.lo:
+            counts[0] += 1
+        elif v >= h.hi:
+            counts[-1] += 1
+        else:
+            idx = int(np.searchsorted(h.edges, v, side="right")) - 1
+            idx = min(max(idx, 0), h.nbins - 1)
+            counts[1 + idx] += 1
+    return counts
+
+
+def loop_linear_bins(h):
+    width = (h.hi - h.lo) / h.nbins
+    return [BinCount(h.lo + i * width, h.lo + (i + 1) * width,
+                     int(h.counts[1 + i]))
+            for i in range(h.nbins)]
+
+
+def loop_log_bins(h):
+    return [BinCount(float(h.edges[i]), float(h.edges[i + 1]),
+                     int(h.counts[1 + i]))
+            for i in range(h.nbins)]
+
+
+def typed(bins):
+    """Bins as reprs, so an int/float or last-bit difference shows."""
+    return [(repr(b.lo), repr(b.hi), repr(b.count)) for b in bins]
+
+
+#: Integer ns samples the exporters feed stay below 2**53 (exact in
+#: float64); floats include infinities and subnormals.
+ANY_SAMPLE = st.one_of(st.integers(-2**53 + 1, 2**53 - 1),
+                       st.floats(allow_nan=False))
+
+
+def samples_around(lo, hi, edges):
+    """Hypothesis lists mixing arbitrary samples with the boundaries."""
+    special = [lo, hi, math.nextafter(hi, -math.inf),
+               math.nextafter(lo, -math.inf),
+               math.nextafter(lo, math.inf)] + list(edges)
+    return st.lists(st.one_of(ANY_SAMPLE,
+                              st.floats(float(lo), float(hi)),
+                              st.sampled_from(special)),
+                    max_size=200)
 
 
 class TestLinearHistogram:
@@ -42,6 +107,75 @@ class TestLinearHistogram:
         h = Histogram(0, 50, 7)
         h.add_many(values)
         assert h.total() == len(values)
+
+
+class TestLinearMatchesLoop:
+    @settings(max_examples=500, deadline=None)
+    @given(lo=st.one_of(st.integers(-10**6, 10**6),
+                        st.floats(-1e6, 1e6)),
+           span=st.one_of(st.integers(1, 10**7), st.floats(1e-3, 1e7)),
+           nbins=st.integers(1, 64), data=st.data())
+    def test_counts_and_bins_match_loop(self, lo, span, nbins, data):
+        h = Histogram(lo, lo + span, nbins)
+        width = (h.hi - lo) / nbins
+        edges = [lo + i * width for i in range(nbins + 1)]
+        values = data.draw(samples_around(lo, h.hi, edges))
+        h.add_many(values)
+        assert h.counts.tolist() == loop_linear_counts(h, values)
+        assert typed(h.bins()) == typed(loop_linear_bins(h))
+
+    def test_empty_input(self):
+        h = Histogram(0.0, 1.0, 4)
+        h.add_many([])
+        assert h.counts.tolist() == [0] * 6
+        assert typed(h.bins()) == typed(loop_linear_bins(h))
+
+    def test_index_rounding_to_nbins_is_overflow(self):
+        # (v - lo) rounds up to (hi - lo) for the float just below hi,
+        # so the scalar rule's index is nbins: that sample overflows.
+        h = Histogram(-1.0, 1.0, 4)
+        v = math.nextafter(1.0, -math.inf)
+        assert int((v - h.lo) / (h.hi - h.lo) * h.nbins) == h.nbins
+        h.add_many([v])
+        assert h.overflow == 1 and h.total() == 1
+        assert h.counts.tolist() == loop_linear_counts(h, [v])
+
+    def test_nan_rejected_without_counting(self):
+        h = Histogram(0.0, 10.0, 5)
+        with pytest.raises(ValueError, match="NaN"):
+            h.add_many([1.0, math.nan])
+        assert h.total() == 0
+
+
+class TestLogMatchesLoop:
+    @settings(max_examples=500, deadline=None)
+    @given(lo=st.floats(1e-3, 1e9), decades=st.floats(0.01, 8.0),
+           per_decade=st.integers(1, 20), data=st.data())
+    def test_counts_and_bins_match_loop(self, lo, decades, per_decade,
+                                        data):
+        h = LogHistogram(lo, lo * 10 ** decades,
+                         bins_per_decade=per_decade)
+        values = data.draw(samples_around(lo, h.hi, h.edges.tolist()))
+        h.add_many(values)
+        assert h.counts.tolist() == loop_log_counts(h, values)
+        assert typed(h.bins()) == typed(loop_log_bins(h))
+
+    def test_empty_input(self):
+        h = LogHistogram(1_000.0, 100_000_000.0)
+        h.add_many(np.array([], dtype=np.int64))
+        assert h.total() == 0
+        assert typed(h.bins()) == typed(loop_log_bins(h))
+
+    def test_ns_int_array_matches_loop(self):
+        # The exporter's own input: an int64 sample array clamped
+        # above lo, binned without a Python-level loop.
+        samples = np.array([0, 999, 1_000, 1_001, 15_000, 99_999_999,
+                            100_000_000, 2**52], dtype=np.int64)
+        clamped = np.maximum(samples, 1_001.0)
+        h = LogHistogram(1_000.0, 100_000_000.0)
+        h.add_many(clamped)
+        assert h.counts.tolist() == loop_log_counts(
+            h, [max(int(s), 1_001.0) for s in samples])
 
 
 class TestLogHistogram:
