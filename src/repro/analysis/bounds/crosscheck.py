@@ -3,13 +3,14 @@ every runtime accounting maximum sits under its static bound.
 
 The check is strictly *observational*: it runs the scenario through
 the ordinary :func:`~repro.experiments.scenario.run_scenario` path
-with typed tracing enabled (the tracer's contract -- enforced by
-``tests/analysis/test_bounds_golden.py`` -- is that it draws no RNG
-and shifts no simulated time), then reads the per-CPU accounting
-maxima and the measurement recorder *after* the run.  A violation
-means the bound model under-approximated real behaviour -- a soundness
-bug in :mod:`repro.analysis.bounds.model` -- and is reported loudly
-with both numbers and the model's composition trail for the window.
+with typed tracing enabled (the tracer's contract -- enforced by the
+composed-observer sweep in ``tests/experiments/test_golden_outputs.py``
+-- is that it draws no RNG and shifts no simulated time), then reads
+the per-CPU accounting maxima and the measurement recorder *after* the
+run.  A violation means the bound model under-approximated real
+behaviour -- a soundness bug in :mod:`repro.analysis.bounds.model` --
+and is reported loudly with both numbers and the model's composition
+trail for the window.
 """
 
 from __future__ import annotations

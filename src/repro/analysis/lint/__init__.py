@@ -18,8 +18,8 @@ an AST pass that catches those classes of bug before they run:
 * ``no-slots-dataclass`` -- hot-path dataclasses in ``repro/sim`` /
   ``repro/kernel`` without ``slots=True``;
 * ``ungated-label`` -- f-string ``label=`` arguments in the sim /
-  kernel / hw layers not gated on ``trace.enabled`` (they burn time in
-  the hot loop and tempt people into embedding state in trace text).
+  kernel / hw layers; use a static label (an f-string burns time in
+  the hot loop, and the typed tracepoints already carry the names).
 
 Findings can be suppressed per line with ``# lint: ok(rule-name)`` or
 per file via :data:`repro.analysis.lint.rules.ALLOW`.  Run it with

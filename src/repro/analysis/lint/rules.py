@@ -18,10 +18,6 @@ from repro.analysis.lint.engine import Finding
 #: sanctioned randomness layer, so the RNG rule cannot apply to it.
 ALLOW = {
     "global-random": ("repro/sim/rng.py",),
-    # The buffer's own module and the engine that owns it may call
-    # emit; everything else on the hot path goes through the typed
-    # tracepoint registry (repro.observe.tracepoints).
-    "direct-trace-emit": ("repro/sim/trace.py", "repro/sim/engine.py"),
 }
 
 #: NumPy global-state draws (``np.random.<fn>``).  Constructors like
@@ -36,7 +32,7 @@ GLOBAL_NP_RANDOM = frozenset({
 #: Directories whose dataclasses sit on the event-loop hot path.
 HOT_DIRS = ("repro/sim/", "repro/kernel/")
 
-#: Layers whose trace labels must be gated on ``trace.enabled``.
+#: Layers whose event and frame labels must be static strings.
 TRACED_DIRS = ("repro/sim/", "repro/kernel/", "repro/hw/")
 
 
@@ -192,11 +188,12 @@ class NoSlotsDataclassRule(Rule):
 
 
 class UngatedLabelRule(Rule):
-    """Trace labels built with f-strings must be trace-gated.
+    """Event and frame labels must be static strings.
 
-    ``label=f"..."`` evaluates on every call even with tracing off;
-    the idiom is ``label=(f"..." if trace.enabled else "static")`` --
-    an ``IfExp``, which this rule deliberately does not match.
+    ``label=f"..."`` builds a string on every call in the hot loop.
+    Use a static label: the names a trace needs (task, irq, lock,
+    syscall) already ride on the typed tracepoints (``sim.tp``).  Only
+    a bare f-string is flagged; a conditional expression is not.
     """
 
     name = "ungated-label"
@@ -213,42 +210,8 @@ class UngatedLabelRule(Rule):
                                                     ast.JoinedStr):
                     yield self.finding(
                         path, kw.value,
-                        "un-gated f-string trace label; gate it: "
-                        "label=(f'...' if trace.enabled else 'static')")
-
-
-class DirectTraceEmitRule(Rule):
-    """Kernel/sim/hw hot paths must emit typed tracepoints.
-
-    ``sim.trace.emit("irq", ...)`` builds strings and dodges the
-    per-CPU accounting; those layers go through the typed registry
-    (``sim.tp.irq_raise(...)`` etc.), which the attribution engine
-    and the Chrome exporter understand.  The free-form buffer stays
-    available to tests and experiment code.
-    """
-
-    name = "direct-trace-emit"
-
-    def applies_to(self, path: str) -> bool:
-        return _in_dirs(path, TRACED_DIRS)
-
-    def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "emit"):
-                continue
-            target = node.func.value
-            is_buffer = (
-                (isinstance(target, ast.Attribute)
-                 and target.attr == "trace")
-                or (isinstance(target, ast.Name) and target.id == "trace"))
-            if is_buffer:
-                yield self.finding(
-                    path, node,
-                    "direct TraceBuffer.emit on a hot path; emit a "
-                    "typed tracepoint via sim.tp (repro.observe."
-                    "tracepoints) instead")
+                        "f-string label on a hot path; use a static "
+                        "label (typed tracepoints carry the names)")
 
 
 #: Critical-section openers and their matching closers.
@@ -356,6 +319,5 @@ ALL_RULES: Tuple[Rule, ...] = (
     UnorderedIterRule(),
     NoSlotsDataclassRule(),
     UngatedLabelRule(),
-    DirectTraceEmitRule(),
     PairedAcquireReleaseRule(),
 )

@@ -487,8 +487,10 @@ def _cmd_storm(argv) -> int:
                         help="attribution percentile (default 99)")
     parser.add_argument("--check-sums", action="store_true",
                         help="implies --trace; fail unless per-sample "
-                             "attribution still sums exactly AND the "
-                             "fault bucket attributed nonzero time")
+                             "attribution still sums exactly, the "
+                             "fault bucket attributed nonzero time AND "
+                             "every injection hit the fault_inject "
+                             "tracepoint")
     parser.add_argument("--json", default="",
                         help="write the scenario export here")
     args = parser.parse_args(argv)
@@ -549,6 +551,13 @@ def _cmd_storm(argv) -> int:
                 failures += 1
             else:
                 print(f"fault bucket: {fault_ns / 1e3:.1f}us attributed")
+            hits = result.trace["hits"].get("fault_inject", 0)
+            injections = faults.get("injections", 0)
+            verdict = "ok" if hits == injections else "FAILED"
+            print(f"fault tracepoint {verdict}: {hits} fault_inject "
+                  f"hits, {injections} injections")
+            if hits != injections:
+                failures += 1
     if args.json:
         from repro.experiments.export import scenario_to_dict, to_json
 

@@ -14,10 +14,12 @@ The controller is the single integration point between a declarative
   disabled controller is indistinguishable from no controller at all,
   which the golden byte-identity tests pin.
 * **Observability.**  Every injection lands on an in-order timeline,
-  bumps a per-injector counter, and (when tracing is enabled) emits a
-  ``TP.FAULT_INJECT`` tracepoint so simtrace attribution can blame the
-  fault bucket.  :meth:`digest` is a CRC over the timeline -- two runs
-  injected identically iff their digests match.
+  bumps a per-injector counter, and (when tracing is enabled) emits
+  one ``TP.FAULT_INJECT`` tracepoint named ``fault:{kind}#{index}``.
+  Attribution blames the fault bucket through the same ``fault:``
+  names on injected handlers and tasks.  :meth:`digest` is a CRC over
+  the timeline -- two runs injected identically iff their digests
+  match.
 * **Lockdep composition.**  Installed *after* a
   :class:`~repro.analysis.lockdep.LockdepValidator` (the
   ``run_scenario`` order), injector IRQ registrations and rogue tasks
@@ -91,7 +93,7 @@ class FaultController:
         cpu = int(cpu)
         self.timeline.append((now, cpu, key, detail))
         self._counts[key] = self._counts.get(key, 0) + 1
-        tp = self.bench.sim.trace
+        tp = self.bench.sim.tp
         if tp.enabled:
             tp.fault_inject(now, cpu, f"fault:{key}", detail)
 

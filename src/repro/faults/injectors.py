@@ -9,7 +9,7 @@ from :class:`~repro.faults.plan.InjectorSpec` data and must:
 
 * do **nothing** (no events, no RNG draws, no hooks) until
   :meth:`install` runs -- a constructed-but-uninstalled subsystem is
-  invisible, which is what the disabled-byte-identity tests pin down;
+  invisible, which the golden sweep's composed runs pin down;
 * restore every hook they placed in :meth:`uninstall`;
 * report each injection through :meth:`Injector.emit`, which lands on
   the controller's timeline and (when tracing is on) the

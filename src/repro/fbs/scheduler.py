@@ -103,9 +103,6 @@ class FrequencyBasedScheduler:
         self.processes[name] = proc
         return proc
 
-    def unregister(self, name: str) -> None:
-        self.processes.pop(name, None)
-
     # ------------------------------------------------------------------
     # Timing source
     # ------------------------------------------------------------------

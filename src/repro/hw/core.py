@@ -13,7 +13,7 @@ while the sibling is occupied -- the mechanism the paper describes.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -50,10 +50,6 @@ class PhysicalCore:
     @property
     def hyperthreaded(self) -> bool:
         return len(self.cpus) == 2
-
-    def sibling_of(self, cpu: "LogicalCpu") -> Optional["LogicalCpu"]:
-        """The other logical CPU on this core (None without HT)."""
-        return cpu.sibling
 
     def resample_factor(self, rng: "np.random.Generator") -> None:
         """Draw a fresh contention factor for a both-busy episode."""

@@ -229,11 +229,7 @@ class LogicalCpu:
             if duration != q:
                 duration += 1
         sim = self.sim
-        # Event labels are diagnostics; building the f-string for every
-        # frame start is measurable, so only pay for it when tracing.
-        label = (f"cpu{self.index}:{frame.kind.value}:{frame.label}"
-                 if sim.trace.enabled else None)
-        frame._event = sim.at(sim.now + duration, self._on_frame_event, label)
+        frame._event = sim.at(sim.now + duration, self._on_frame_event)
 
     def _pause_top(self) -> None:
         frame = self.frames[-1]

@@ -67,12 +67,6 @@ class RcimCard(Device):
         if self.started:
             self._begin_cycle()
 
-    def disable_timer(self) -> None:
-        self._timer_enabled = False
-        if self._periodic is not None:
-            self._periodic.cancel()
-            self._periodic = None
-
     def on_start(self) -> None:
         if self._timer_enabled:
             self._begin_cycle()

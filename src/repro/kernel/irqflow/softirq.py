@@ -77,9 +77,6 @@ class SoftirqQueue:
         return sum(w for vec in SoftirqVector
                    for (w, _a) in self._queues[vec])
 
-    def pending_items(self) -> int:
-        return sum(len(self._queues[vec]) for vec in SoftirqVector)
-
     def take_next(self) -> Optional[Tuple[SoftirqVector, int,
                                           Optional[Callable[[], None]]]]:
         """Dequeue the next item in vector-priority order."""

@@ -51,8 +51,7 @@ class LocalTimer:
         tick = self.kernel.config.tick_ns
         self._events[cpu] = self.kernel.sim.periodic(
             tick, lambda: self._fire(cpu), first_delay=first_delay,
-            label=(f"ltmr-cpu{cpu}"
-                   if self.kernel.sim.trace.enabled else "ltmr"))
+            label="ltmr")
 
     def _fire(self, cpu: int) -> None:
         if not self.enabled.get(cpu, False):

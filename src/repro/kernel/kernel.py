@@ -365,8 +365,7 @@ class Kernel:
         cost = self.scheduler.switch_cost_ns(cpu_idx)
         frame = ExecFrame(FrameKind.SWITCH, cost,
                           lambda f: self._finish_switch(cpu_idx, nxt),
-                          label=(f"switch->{nxt.name}"
-                                 if self.sim.trace.enabled else "switch"))
+                          label="switch")
         cpu.push_frame(frame)
 
     def _deschedule_current(self, cpu: LogicalCpu, prev: Task) -> None:
@@ -615,8 +614,7 @@ class Kernel:
         lock.enqueue_waiter(task)
         frame = ExecFrame(FrameKind.SPIN, None,
                           lambda f: self._spin_done(task, cpu_idx, lock),
-                          label=(f"spin:{lock.name}"
-                                 if self.sim.trace.enabled else "spin"),
+                          label="spin",
                           owner=task)
         task.spin_frame = frame
         task.spin_started = self.sim.now
@@ -700,9 +698,7 @@ class Kernel:
             raise KernelPanic(f"{task.name} sleeping under a spinlock")
         task.state = TaskState.BLOCKED
         task.sleep_event = self.sim.after(
-            max(0, duration), lambda: self._sleep_expired(task),
-            label=(f"sleep:{task.name}"
-                   if self.sim.trace.enabled else None))
+            max(0, duration), lambda: self._sleep_expired(task))
         self.schedule(cpu_idx)
 
     def _sleep_expired(self, task: Task) -> None:
@@ -779,8 +775,7 @@ class Kernel:
         handler = self.config.timing.sample(cost_key, self.rng)
         frame = ExecFrame(FrameKind.HARDIRQ, entry + handler,
                           lambda f: self._hardirq_done(cpu, desc),
-                          label=(f"irq{desc.irq}:{desc.name}"
-                                 if self.sim.trace.enabled else "irq"),
+                          label="irq",
                           owner=desc)
         cpu.push_frame(frame)
 
@@ -862,8 +857,7 @@ class Kernel:
             FrameKind.SOFTIRQ, work,
             lambda f: self._softirq_item_done(cpu_idx, budget - work, vec,
                                               action),
-            label=(f"softirq:{vec.name}"
-                   if self.sim.trace.enabled else "softirq"))
+            label="softirq")
         cpu.push_frame(frame)
 
     def _softirq_item_done(self, cpu_idx: int, budget_left: int, vec,
@@ -894,10 +888,7 @@ class Kernel:
             tp = self.sim.tp
             if tp.enabled:
                 tp.softirq_entry(self.sim.now, cpu_idx, int(vec))
-            yield op.Compute(work, kernel=True,
-                             label=(f"ksoftirqd:{vec.name}"
-                                    if self.sim.trace.enabled
-                                    else "ksoftirqd"))
+            yield op.Compute(work, kernel=True, label="ksoftirqd")
             tp = self.sim.tp
             if tp.enabled:
                 tp.softirq_exit(self.sim.now, cpu_idx, int(vec))

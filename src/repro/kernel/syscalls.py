@@ -43,7 +43,6 @@ class UserApi:
         self.config = kernel.config
         self.timing = kernel.config.timing
         self.rng = kernel.sim.rng.stream("userapi")
-        self._trace = kernel.sim.trace
         self.fault_model = FaultModel()
         self.mem_locked = False
 
@@ -95,19 +94,14 @@ class UserApi:
     def syscall(self, name: str, body: Optional[Generator] = None
                 ) -> Generator:
         """Wrap *body* in kernel entry/exit with their costs."""
-        # Per-syscall f-string labels are diagnostics; only build them
-        # when tracing is on.
-        trace = self._trace.enabled
         yield op.EnterSyscall(name)
         yield op.Compute(self.timing.sample("syscall.entry", self.rng),
-                         kernel=True,
-                         label=f"{name}:entry" if trace else "sys:entry")
+                         kernel=True, label="sys:entry")
         result = None
         if body is not None:
             result = yield from body
         yield op.Compute(self.timing.sample("syscall.exit", self.rng),
-                         kernel=True,
-                         label=f"{name}:exit" if trace else "sys:exit")
+                         kernel=True, label="sys:exit")
         yield op.ExitSyscall()
         return result
 

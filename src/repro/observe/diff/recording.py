@@ -82,10 +82,6 @@ class TraceRecording:
     def max_latency_ns(self) -> int:
         return max((int(s[1]) for s in self.samples), default=0)
 
-    def events_digest(self) -> str:
-        """Hex SHA-256 of the canonical event stream."""
-        return digest_of(self.events)
-
     def describe(self) -> str:
         shield = "shielded" if self.shielded else "unshielded"
         fault = (f", faults={self.fault_plan}"

@@ -1,9 +1,8 @@
 """The static tracepoint registry and per-CPU ring buffers.
 
-Kernel-style typed tracepoints replace the ad-hoc free-form
-:class:`~repro.sim.trace.TraceBuffer` emits on the hot paths.  Each
-event is a member of the :class:`TP` enum with a fixed argument shape;
-call sites guard with a single attribute check::
+Kernel-style typed tracepoints are the simulator's one trace facility
+(``sim.tp``).  Each event is a member of the :class:`TP` enum with a
+fixed argument shape; call sites guard with a single attribute check::
 
     tp = self.sim.tp
     if tp.enabled:
@@ -166,9 +165,8 @@ class Tracepoints:
     Created disabled by every :class:`~repro.sim.engine.Simulator`;
     :meth:`configure` (called by the machine once the CPU count is
     known) sizes the per-CPU rings, and :meth:`enable` turns emission
-    on.  The legacy free-form :class:`~repro.sim.trace.TraceBuffer`
-    (``sim.trace``) stays independent: enabling typed tracepoints does
-    not switch on label construction, and vice versa.
+    on.  Event and frame labels stay static either way: the names a
+    trace needs travel as tracepoint arguments.
     """
 
     __slots__ = ("enabled", "capacity", "rings", "accounting", "hits",

@@ -16,7 +16,8 @@ GET       /health                         queue + store + pool health
 ========  ==============================  ===============================
 
 Error mapping: bad spec or malformed request (``Content-Length``,
-``?wait=``) -> 400, unknown job -> 404, artifact of an unfinished job
+``?wait=``) -> 400, unknown job -> 404, request not fully received
+within :data:`READ_DEADLINE_S` -> 408, artifact of an unfinished job
 -> 409, queue full -> 429 (back-pressure), draining -> 503.  All error
 bodies are ``{"error": ...}`` JSON.
 
@@ -42,10 +43,14 @@ from repro.service.scheduler import Scheduler, ServiceDraining
 MAX_REQUEST_BYTES = 1 << 20
 #: Longest server-side long-poll before the client must re-ask.
 MAX_WAIT_S = 60.0
+#: Deadline for receiving one request's head and body.  A client that
+#: stalls mid-request gets a 408 instead of holding a handler forever.
+READ_DEADLINE_S = 30.0
 
 _REASONS = {200: "OK", 201: "Created", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
-            409: "Conflict", 413: "Payload Too Large",
+            408: "Request Timeout", 409: "Conflict",
+            413: "Payload Too Large",
             429: "Too Many Requests", 500: "Internal Server Error",
             503: "Service Unavailable"}
 
@@ -143,6 +148,17 @@ class ServiceServer:
     async def _read_request(self, reader: asyncio.StreamReader
                             ) -> Optional[Tuple[str, str,
                                                 Dict[str, str], bytes]]:
+        deadline = READ_DEADLINE_S
+        try:
+            return await asyncio.wait_for(self._parse_request(reader),
+                                          deadline)
+        except asyncio.TimeoutError:
+            raise HttpError(408, f"request not received within "
+                            f"{deadline:g} s") from None
+
+    async def _parse_request(self, reader: asyncio.StreamReader
+                             ) -> Optional[Tuple[str, str,
+                                                 Dict[str, str], bytes]]:
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except (asyncio.IncompleteReadError, ConnectionError):

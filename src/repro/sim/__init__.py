@@ -3,9 +3,9 @@
 The engine provides an integer-nanosecond clock, one cancellable event
 heap holding both one-shot and periodic events, named deterministic
 random-number substreams (plain numpy ``Generator`` objects), and a
-lightweight tracing facility.  Everything above this package (hardware, kernel,
-workloads) is written in terms of :class:`~repro.sim.engine.Simulator`
-events.
+typed tracepoint registry (:mod:`repro.observe.tracepoints`).
+Everything above this package (hardware, kernel, workloads) is written
+in terms of :class:`~repro.sim.engine.Simulator` events.
 """
 
 from repro.sim.engine import Simulator
@@ -21,14 +21,11 @@ from repro.sim.simtime import (
     ns_to_s,
     format_ns,
 )
-from repro.sim.trace import TraceBuffer, TraceRecord
 
 __all__ = [
     "Simulator",
     "EventHandle",
     "RngStreams",
-    "TraceBuffer",
-    "TraceRecord",
     "NSEC",
     "USEC",
     "MSEC",

@@ -1,10 +1,11 @@
 """The discrete-event simulation core.
 
 :class:`Simulator` owns the clock, the event heap, the master RNG
-registry and the trace buffer.  Hardware and kernel objects schedule
-zero-argument callbacks at absolute or relative times and may cancel
-them through the returned :class:`~repro.sim.events.EventHandle`, or
-install recurring callbacks via :meth:`Simulator.periodic`.
+registry and the typed tracepoints (``sim.tp``).  Hardware and kernel
+objects schedule zero-argument callbacks at absolute or relative times
+and may cancel them through the returned
+:class:`~repro.sim.events.EventHandle`, or install recurring callbacks
+via :meth:`Simulator.periodic`.
 
 The engine is intentionally minimal: all *semantics* (preemption,
 interrupts, locking) live in the hardware/kernel layers.  Keeping the
@@ -40,7 +41,6 @@ from repro.observe.tracepoints import Tracepoints
 from repro.sim.errors import SchedulingInPastError, SimulationStalledError
 from repro.sim.events import EventHandle, PeriodicHandle, SEQ_BITS
 from repro.sim.rng import DEFAULT_SEED, RngStreams
-from repro.sim.trace import TraceBuffer
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -63,12 +63,9 @@ class Simulator:
         repo-wide :data:`repro.sim.rng.DEFAULT_SEED` so that a run's
         seed is stated in exactly one place (normally the
         ``ScenarioSpec`` driving the experiment).
-    trace_capacity:
-        Ring-buffer size for the (normally disabled) trace facility.
     """
 
-    def __init__(self, seed: Optional[int] = None,
-                 trace_capacity: int = 65536) -> None:
+    def __init__(self, seed: Optional[int] = None) -> None:
         self.now: int = 0
         self._heap: List[int] = []
         self._handles: dict = {}  # packed key -> callback (presence = alive)
@@ -76,7 +73,6 @@ class Simulator:
         self._events_fired = 0
         self._dead = 0   # cancelled entries not yet popped or compacted
         self.rng = RngStreams(DEFAULT_SEED if seed is None else seed)
-        self.trace = TraceBuffer(trace_capacity)
         # Typed tracepoint registry (disabled; the machine sizes its
         # per-CPU rings via tp.configure() once the CPU count is known).
         self.tp = Tracepoints()

@@ -115,47 +115,6 @@ class TestUngatedLabel:
         assert findings == []
 
 
-class TestDirectTraceEmit:
-    def test_attribute_emit_flagged(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path, "def f(self, now):\n"
-                      "    self.sim.trace.emit(now, 'irq', 'x')\n")
-        assert _rules(findings) == ["direct-trace-emit"]
-
-    def test_bare_name_emit_flagged(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path, "def f(trace, now):\n"
-                      "    trace.emit(now, 'irq', 'x')\n")
-        assert _rules(findings) == ["direct-trace-emit"]
-
-    def test_typed_tracepoint_is_fine(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path, "def f(tp, now, cpu):\n"
-                      "    if tp.enabled:\n"
-                      "        tp.irq_raise(now, cpu, 60, 'rtc')\n")
-        assert findings == []
-
-    def test_other_emit_is_fine(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path, "def f(signal):\n"
-                      "    signal.emit('done')\n")
-        assert findings == []
-
-    def test_buffer_module_is_allowlisted(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path, "def f(trace, now):\n"
-                      "    trace.emit(now, 'irq', 'x')\n",
-            name="repro/sim/trace.py")
-        assert findings == []
-
-    def test_experiment_layer_not_in_scope(self, tmp_path):
-        findings = _lint_snippet(
-            tmp_path, "def f(trace, now):\n"
-                      "    trace.emit(now, 'irq', 'x')\n",
-            name="repro/experiments/snippet.py")
-        assert findings == []
-
-
 class TestPairedAcquireRelease:
     def test_unmatched_acquire_flagged(self, tmp_path):
         findings = _lint_snippet(

@@ -44,6 +44,7 @@ class TestStorm:
         out = capsys.readouterr().out
         assert "sum check ok" in out
         assert "fault bucket:" in out
+        assert "fault tracepoint ok:" in out
 
     def test_unknown_scenario_errors(self):
         import pytest

@@ -9,7 +9,10 @@ import pytest
 
 from repro.configs.kernels import redhawk_1_4, vanilla_2_4_21
 from repro.experiments.harness import build_bench
+from repro.experiments.scenario import run_scenario, scenario
 from repro.faults import FaultController, FaultPlan, injector
+from repro.observe.tracepoints import TP
+from repro.observe.tracer import TraceConfig
 from repro.sim.simtime import MSEC
 
 
@@ -53,6 +56,19 @@ class TestControllerLifecycle:
         assert report["by_injector"] == {"irq-storm#0":
                                          report["injections"]}
         assert report["injections"] > 0
+
+    def test_every_injection_hits_the_tracepoint(self):
+        spec = scenario("storm-fig6").configured(samples=300)
+        result = run_scenario(spec, trace=TraceConfig(record=True))
+        faults = result.faults
+        assert result.trace["hits"].get("fault_inject") \
+            == faults["injections"] > 0
+        injectors = [row[3][0]
+                     for row in result.trace["recording"]["events"]
+                     if row[2] == TP.FAULT_INJECT]
+        assert injectors
+        keys = {"fault:" + key for key in faults["by_injector"]}
+        assert set(injectors) <= keys
 
 
 class TestIrqStorm:

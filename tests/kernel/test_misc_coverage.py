@@ -53,7 +53,6 @@ class TestTracing:
         assert not sim.tp.enabled
         assert sim.tp.hit_counts() == {}
         assert list(sim.tp.events()) == []
-        assert len(sim.trace) == 0
 
 
 class TestStats:

@@ -1,4 +1,5 @@
-"""Malformed requests answer 400 naming the bad field, never 500.
+"""Malformed requests answer 400 naming the bad field, never 500, and
+a stalled request answers 408 instead of holding its connection.
 
 The client library never sends these, so the tests speak raw HTTP to
 a live :class:`ServerThread` over a socket.
@@ -10,6 +11,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
+from repro.service import http
 from repro.service.client import ServiceClient
 from repro.service.http import ServerThread
 
@@ -18,10 +20,15 @@ FIG7 = {"kind": "figure", "scenario": "fig7", "samples": 60, "seed": 1}
 
 def raw_request(address, head):
     """Send one request head; return (status, decoded JSON body)."""
+    return raw_exchange(address, head.encode("latin-1") + b"\r\n\r\n")
+
+
+def raw_exchange(address, data, timeout=30.0):
+    """Send raw request bytes; return (status, decoded JSON body)."""
     split = urlsplit(address)
     with socket.create_connection((split.hostname, split.port),
-                                  timeout=30.0) as sock:
-        sock.sendall(head.encode("latin-1") + b"\r\n\r\n")
+                                  timeout=timeout) as sock:
+        sock.sendall(data)
         reply = b""
         while b"\r\n\r\n" not in reply:
             chunk = sock.recv(65536)
@@ -75,3 +82,17 @@ def test_well_formed_wait_still_answers(server):
         address, f"GET /jobs/{job_id}?wait=0 HTTP/1.1")
     assert status == 200
     assert body["id"] == job_id and body["state"] == "done"
+
+
+@pytest.mark.parametrize("data", [
+    b"POST /jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}",
+    b"POST /jobs HTTP/1.1\r\nContent-Len",
+], ids=["short-body", "unterminated-head"])
+def test_stalled_request_is_408(server, monkeypatch, data):
+    # raising=False: without the deadline the server never answers, so
+    # the short socket timeout fails the test instead of hanging it.
+    monkeypatch.setattr(http, "READ_DEADLINE_S", 0.2, raising=False)
+    address, _job_id = server
+    status, body = raw_exchange(address, data, timeout=5.0)
+    assert status == 408
+    assert "0.2 s" in body["error"]
