@@ -439,18 +439,16 @@ def _cmd_list_faults(argv) -> int:
 def _resolve_storm(parser, scenario_name: str, plan_name: str):
     """(spec, plan): default the plan from the scenario name."""
     from repro.faults import UnknownFaultPlanError, fault_plan
+    from repro.faults.twindiff import resolve_plan_name
 
     try:
         spec = scenario(scenario_name)
     except UnknownScenarioError:
         parser.error(f"unknown scenario {scenario_name!r} "
                      f"(use 'list-scenarios')")
-    if not plan_name:
-        base = scenario_name[len("storm-"):] \
-            if scenario_name.startswith("storm-") else scenario_name
-        plan_name = spec.fault_plan or f"storm-{base}"
     try:
-        return spec, fault_plan(plan_name)
+        return spec, fault_plan(resolve_plan_name(spec, scenario_name,
+                                                  plan_name))
     except UnknownFaultPlanError as exc:
         parser.error(str(exc))
 
@@ -495,16 +493,13 @@ def _cmd_storm(argv) -> int:
                         help="write the scenario export here")
     args = parser.parse_args(argv)
 
-    from repro.experiments.scenario import ShieldSpec
-
     spec, plan = _resolve_storm(parser, args.scenario, args.plan)
     spec = spec.configured(samples=args.samples,
                            iterations=args.iterations, seed=args.seed,
                            fault_plan=plan.name,
                            fault_intensity=args.intensity)
     if args.unshielded:
-        spec = spec.with_overrides(
-            shield=ShieldSpec(cpu=spec.shield.cpu))
+        spec = spec.unshielded()
     ld_config = None
     if args.lockdep or args.lockdep_strict:
         from repro.analysis.lockdep import LockdepConfig
@@ -608,6 +603,8 @@ def _cmd_margin(argv) -> int:
     args = parser.parse_args(argv)
 
     from repro.faults import MarginSpec, run_margin
+    from repro.faults.margin import bound_ns_of
+    from repro.faults.plan import check_intensity
 
     spec, plan = _resolve_storm(parser, args.scenario, args.plan)
     try:
@@ -617,10 +614,15 @@ def _cmd_margin(argv) -> int:
     except ValueError:
         parser.error(f"--intensities must be comma-separated numbers, "
                      f"got {args.intensities!r}")
-    margin_spec = MarginSpec(
-        scenario=spec.name, plan=plan.name, intensities=intensities,
-        bound_ns=int(args.bound_us * 1_000), samples=args.samples,
-        seed=args.seed)
+    try:
+        for value in intensities:
+            check_intensity(value, "--intensities")
+        margin_spec = MarginSpec(
+            scenario=spec.name, plan=plan.name, intensities=intensities,
+            bound_ns=bound_ns_of(args.bound_us, "--bound-us"),
+            samples=args.samples, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     result = run_margin(margin_spec, workers=args.workers,
                         store=_store_arg(args.store),
                         use_cache=not args.no_cache)
@@ -719,7 +721,6 @@ def _cmd_diff_record(argv) -> int:
                              "directory when DIR is omitted)")
     args = parser.parse_args(argv)
 
-    from repro.experiments.scenario import ShieldSpec
     from repro.observe.diff import record_scenario
 
     if not args.out and args.store is None:
@@ -738,8 +739,7 @@ def _cmd_diff_record(argv) -> int:
         if not spec.shield.any_component:
             parser.error(f"scenario {args.scenario!r} already runs "
                          f"unshielded")
-        spec = spec.with_overrides(
-            shield=ShieldSpec(cpu=spec.shield.cpu))
+        spec = spec.unshielded()
 
     _progress(f"diff: recording {spec.name} ...")
     rec, _result = record_scenario(spec, capacity=args.capacity)
@@ -1115,8 +1115,7 @@ def _submit_spec(args) -> dict:
     if args.fault_plan:
         spec["fault_plan"] = args.fault_plan
     if args.intensities:
-        spec["intensities"] = [float(x) for x
-                               in args.intensities.split(",")]
+        spec["intensities"] = args.intensities
     if args.no_cache:
         spec["use_cache"] = False
     return spec

@@ -1,9 +1,10 @@
 """Parallel, cacheable, resumable campaign execution.
 
 A :class:`CampaignSpec` names a scenario x seed x config-override
-matrix; :class:`CampaignRunner` expands it into jobs and executes the
-benches in parallel with :mod:`multiprocessing`.  Each worker rebuilds
-its bench from the picklable :class:`ScenarioSpec`, so runs are fully
+matrix; :class:`CampaignRunner` expands it into jobs and executes them
+as cells through :func:`~repro.experiments.cells.execute_cells`,
+optionally across worker processes.  Each worker rebuilds its bench
+from the picklable :class:`ScenarioSpec`, so runs are fully
 independent; the merged :class:`CampaignResult` is **byte-identical
 regardless of worker count, scheduling order, or cache state** because
 
@@ -16,10 +17,10 @@ regardless of worker count, scheduling order, or cache state** because
 
 With a :class:`~repro.store.ResultStore` attached, the expanded job
 list is partitioned into cache **hits** (loaded, never recomputed) and
-**misses** (executed via ``imap_unordered`` with adaptive chunking);
-every completed job is persisted and journaled the moment it finishes,
-so an interrupted campaign (Ctrl-C, crashed worker, CI timeout)
-resumes from where it stopped instead of starting over.
+**misses** (executed in adaptive chunks); every completed job is
+persisted and journaled the moment it lands, so an interrupted
+campaign (Ctrl-C, crashed worker, CI timeout) resumes from where it
+stopped instead of starting over.
 
 Usage::
 
@@ -32,11 +33,10 @@ Usage::
 
 from __future__ import annotations
 
-import multiprocessing
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.experiments.cells import Cell, CellOutcome, CellRun, execute_cells
 from repro.experiments.scenario import (
     ScenarioResult,
     ScenarioSpec,
@@ -45,7 +45,7 @@ from repro.experiments.scenario import (
 )
 from repro.metrics.recorder import JitterRecorder, LatencyRecorder
 from repro.sim.rng import DEFAULT_SEED
-from repro.store import digest_of, job_key, open_store
+from repro.store import open_store
 from repro.store.keys import code_version
 
 
@@ -147,16 +147,19 @@ class CampaignSpec:
         return jobs
 
 
-def _run_job(job: CampaignJob) -> Tuple[int, ScenarioResult]:
-    """Worker entry point: rebuild the bench from the spec and run."""
-    return job.index, run_scenario(job.spec, trace=job.trace or None)
+def _run_job(cell: Cell) -> CellOutcome:
+    """Worker entry point of a scenario cell: rebuild the bench from
+    the spec and run it; a stall raises (it fails the campaign)."""
+    return CellOutcome(index=cell.index,
+                       result=run_scenario(cell.spec,
+                                           trace=cell.trace or None))
 
 
 class _StreamingMerge:
     """Order-preserving incremental fold of per-scenario recorders.
 
-    Results may arrive in any order (``imap_unordered``); they are
-    buffered until the fold cursor reaches them and then merged in
+    Results may arrive in any order (chunks land as they finish); they
+    are buffered until the fold cursor reaches them and then merged in
     job-expansion order, so the merged recorders -- and every
     downstream export byte -- are independent of arrival order.  At
     any moment the buffer holds only the arrival-order skew, not the
@@ -194,8 +197,8 @@ class _StreamingMerge:
             raise RuntimeError(
                 f"merge incomplete: {self._cursor}/{self._total} folded, "
                 f"{len(self._buffer)} buffered")
-        # Same consensus rule as Recorder.merged(): the period survives
-        # only if every contributing recorder agreed on it.
+        # The merged period survives only if every contributing
+        # recorder agreed on it.
         for name, periods in self._periods.items():
             self._merged[name].period_ns = (periods.pop()
                                             if len(periods) == 1 else None)
@@ -223,21 +226,10 @@ class CampaignResult:
 
     def __post_init__(self) -> None:
         if not self.merged:
-            self.merged = self._merge()
-
-    def _merge(self) -> Dict[str, Any]:
-        """Fold each scenario's recorders in job order (deterministic)."""
-        by_scenario: Dict[str, List[ScenarioResult]] = {}
-        for result in self.runs:
-            by_scenario.setdefault(result.scenario, []).append(result)
-        merged: Dict[str, Any] = {}
-        for name, results in by_scenario.items():
-            recorders = [r.recorder for r in results]
-            if isinstance(recorders[0], JitterRecorder):
-                merged[name] = JitterRecorder.merged(name, recorders)
-            else:
-                merged[name] = LatencyRecorder.merged(name, recorders)
-        return merged
+            merge = _StreamingMerge(len(self.runs))
+            for index, result in enumerate(self.runs):
+                merge.add(index, result)
+            self.merged = merge.finish()
 
     def results_for(self, scenario_name: str) -> List[ScenarioResult]:
         return [r for r in self.runs if r.scenario == scenario_name]
@@ -316,138 +308,45 @@ class CampaignRunner:
         if self.progress is not None:
             self.progress(message)
 
-    def campaign_key(self, jobs: Optional[List[CampaignJob]] = None
-                     ) -> str:
-        """Identity of this campaign's job list (journal file name)."""
-        if jobs is None:
-            jobs = self.campaign.expand()
-        code = code_version()
-        return digest_of({
-            "jobs": [None if job.trace else job_key(job.spec, code)
-                     for job in jobs],
-        })
-
-    # ------------------------------------------------------------------
     def run(self) -> CampaignResult:
         jobs = self.campaign.expand()
-        store = self.store
-        code = code_version() if store is not None else ""
-
-        # Traced jobs bypass the store: their trace report is not
-        # persisted, so a hit could not reproduce the full result.
-        keys: Dict[int, str] = {}
-        if store is not None:
-            keys = {job.index: job_key(job.spec, code)
-                    for job in jobs if not job.trace}
-
-        journal: Dict[int, str] = {}
-        campaign_key = ""
-        if store is not None:
-            campaign_key = digest_of(
-                {"jobs": [keys.get(job.index) for job in jobs]})
-            if self.resume:
-                journal = store.read_journal(campaign_key)
-
-        def load_hit(key: str) -> Optional[ScenarioResult]:
-            entry = store.get(key)
-            if entry is not None and not entry.stalled:
-                return entry.result
-            return None
-
-        # -- partition: hits load, misses queue ------------------------
-        hits: Dict[int, ScenarioResult] = {}
-        resumed = 0
-        pending: List[CampaignJob] = []
-        for job in jobs:
-            key = keys.get(job.index)
-            result = None
-            if key is not None:
-                if journal.get(job.index) == key:
-                    result = load_hit(key)
-                    if result is not None:
-                        resumed += 1
-                if result is None and self.use_cache:
-                    result = load_hit(key)
-            if result is not None:
-                hits[job.index] = result
-            else:
-                pending.append(job)
-        self._emit(f"campaign: {len(jobs)} jobs | {len(hits)} cache "
-                   f"hits ({resumed} via journal) | {len(pending)} "
-                   f"to run")
-
         merge = _StreamingMerge(len(jobs))
         runs: Optional[List[Optional[ScenarioResult]]] = (
             [None] * len(jobs) if self.retain_runs else None)
-        completed = 0
-        step = max(1, len(pending) // 10)
 
-        journal_ctx = (store.journal_writer(campaign_key)
-                       if store is not None else nullcontext())
-        with journal_ctx as writer:
-            def ingest(index: int, result: ScenarioResult,
-                       computed: bool) -> None:
-                nonlocal completed
-                key = keys.get(index)
-                if computed and store is not None and key is not None:
-                    store.put(key, result, code)
-                if writer is not None and key is not None:
-                    writer.record(index, key)
-                merge.add(index, result)
+        def ingest(run: CellRun, batch: List[CellOutcome],
+                   cached: bool) -> None:
+            if cached:
+                self._emit(f"campaign: {run.total} jobs | {run.hits} "
+                           f"cache hits ({run.resumed} via journal) | "
+                           f"{run.misses} to run")
+            for outcome in batch:
+                merge.add(outcome.index, outcome.result)
                 if runs is not None:
-                    runs[index] = result
-                if computed:
-                    completed += 1
-                    if completed % step == 0 or completed == len(pending):
-                        self._emit(f"campaign: {completed}/"
-                                   f"{len(pending)} computed")
+                    runs[outcome.index] = outcome.result
+            if not cached:
+                step = max(1, run.misses // 10)
+                for done in range(run.computed - len(batch) + 1,
+                                  run.computed + 1):
+                    if done % step == 0 or done == run.misses:
+                        self._emit(f"campaign: {done}/{run.misses} "
+                                   f"computed")
 
-            # Hits are complete work: fold and journal them first so a
-            # resumed-then-interrupted campaign keeps its full prefix.
-            for index in sorted(hits):
-                ingest(index, hits[index], computed=False)
-
-            if pending:
-                if self.workers == 1 or len(pending) == 1:
-                    for job in pending:
-                        index, result = _run_job(job)
-                        ingest(index, result, computed=True)
-                else:
-                    results = self._imap(pending)
-                    for index, result in results:
-                        ingest(index, result, computed=True)
-
-        merged = merge.finish()
+        cells = [Cell(index=job.index, op="scenario", spec=job.spec,
+                      trace=job.trace) for job in jobs]
+        run = execute_cells(
+            cells, ingest, store=self.store,
+            code=code_version() if self.store is not None else "",
+            workers=self.workers, use_cache=self.use_cache,
+            journal=True, resume=self.resume)
         return CampaignResult(
             campaign=self.campaign, jobs=jobs,
             runs=([r for r in runs if r is not None]
                   if runs is not None else []),
-            workers=self.workers, merged=merged,
-            cache={"jobs": len(jobs), "hits": len(hits),
-                   "resumed": resumed, "computed": len(pending),
-                   "campaign_key": campaign_key})
-
-    def _imap(self, pending: List[CampaignJob]):
-        """Unordered parallel execution with adaptive chunking.
-
-        ``chunksize=1`` pays one IPC round-trip per job; for large
-        matrices of short runs the dispatch overhead dominates.  The
-        adaptive chunk targets ~8 chunks per worker so the tail stays
-        balanced while amortising the round-trips.  Results stream
-        back as they finish (the caller's streaming merge restores
-        job order).
-        """
-        # fork keeps the already-imported registries; fall back to
-        # spawn on platforms without it (workers re-import the catalog).
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-        workers = min(self.workers, len(pending))
-        chunksize = max(1, len(pending) // (workers * 8))
-        with ctx.Pool(processes=workers) as pool:
-            for item in pool.imap_unordered(_run_job, pending,
-                                            chunksize=chunksize):
-                yield item
+            workers=self.workers, merged=merge.finish(),
+            cache={"jobs": run.total, "hits": run.hits,
+                   "resumed": run.resumed, "computed": run.misses,
+                   "campaign_key": run.journal})
 
 
 def run_campaign(scenarios: Tuple[str, ...],

@@ -145,6 +145,11 @@ class ScenarioSpec:
         """Copy with spec fields replaced."""
         return replace(self, **changes)
 
+    def unshielded(self) -> "ScenarioSpec":
+        """The unshielded twin: every shield component stripped, the
+        shield CPU (where the measurement runs) kept."""
+        return replace(self, shield=ShieldSpec(cpu=self.shield.cpu))
+
     def configured(self, samples: Optional[int] = None,
                    iterations: Optional[int] = None,
                    seed: Optional[int] = None,

@@ -15,9 +15,9 @@ from named child streams, so a rung's injection timeline is a pure
 function of (seed, plan, intensity) -- the per-cell digests in the
 report prove byte-for-byte identical injection across worker counts.
 
-Execution mirrors :class:`~repro.experiments.campaign.CampaignRunner`:
-deterministic job expansion, a fork pool streaming unordered results,
-and reassembly in expansion order, so ``--workers 1`` and
+Execution is the campaign's: deterministic job expansion, cells run
+through :func:`~repro.experiments.cells.execute_cells` (inline or on a
+fork pool), and reassembly in expansion order, so ``--workers 1`` and
 ``--workers 4`` produce identical JSON.
 
 The ladder also shares the campaign's content-addressed result store:
@@ -31,20 +31,16 @@ markers and reported as unbounded without re-running.
 
 from __future__ import annotations
 
-import multiprocessing
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.experiments.scenario import (
-    ScenarioResult,
-    ScenarioSpec,
-    ShieldSpec,
-    run_scenario,
-    scenario,
-)
+from repro.experiments.cells import Cell, CellOutcome, execute_cells
+from repro.experiments.scenario import ScenarioSpec, run_scenario, scenario
+from repro.faults.plan import check_intensity
 from repro.sim.errors import SimulationStalledError
 from repro.sim.simtime import MSEC
-from repro.store import job_key, open_store
+from repro.store import open_store
 from repro.store.keys import code_version
 
 #: Default intensity ladder (multiples of the plan's baseline).
@@ -64,6 +60,14 @@ class MarginSpec:
     samples: Optional[int] = None
     seed: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        for value in self.intensities:
+            check_intensity(value, "intensities")
+        if self.bound_ns <= 0:
+            raise ValueError(f"bound_ns must be > 0, got {self.bound_ns}")
+        if self.samples is not None and self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
+
     def expand(self) -> List["MarginJob"]:
         """Two cells (shielded, unshielded) per intensity rung."""
         if not self.intensities:
@@ -76,10 +80,8 @@ class MarginSpec:
             rung = base.configured(fault_intensity=intensity)
             jobs.append(MarginJob(index=len(jobs), intensity=intensity,
                                   shielded=True, spec=rung))
-            jobs.append(MarginJob(
-                index=len(jobs), intensity=intensity, shielded=False,
-                spec=rung.with_overrides(
-                    shield=ShieldSpec(cpu=rung.shield.cpu))))
+            jobs.append(MarginJob(index=len(jobs), intensity=intensity,
+                                  shielded=False, spec=rung.unshielded()))
         return jobs
 
 
@@ -93,48 +95,46 @@ class MarginJob:
     spec: ScenarioSpec
 
 
-def _run_margin_job(job: MarginJob
-                    ) -> Tuple[int, Optional[ScenarioResult],
-                               Optional[str]]:
-    """Worker entry point (module-level: must pickle under spawn).
+def bound_ns_of(bound_us: Any, name: str) -> int:
+    """A bound in us as ns; a ValueError names *name* unless it is a
+    finite number > 0."""
+    if (not isinstance(bound_us, (int, float))
+            or not math.isfinite(bound_us) or bound_us <= 0):
+        raise ValueError(f"{name} must be a finite number > 0, "
+                         f"got {bound_us!r}")
+    return int(bound_us * 1_000)
+
+
+def _run_cell(cell: Cell) -> CellOutcome:
+    """Worker entry point of a margin cell.
 
     A stalled simulation -- interference so heavy the measurement
-    never finishes inside its budget -- counts as an unbounded cell,
-    not an error: that is exactly the degradation the margin measures.
-    Returns ``(index, result, None)`` or ``(index, None, error)`` so
-    the parent can both build the cell and persist the full run.
+    never finishes inside its budget -- is an unbounded cell, not an
+    error: that is exactly the degradation the margin measures.
     """
     try:
-        result = run_scenario(job.spec)
+        result = run_scenario(cell.spec)
     except SimulationStalledError as exc:
-        return job.index, None, str(exc)
-    return job.index, result, None
+        return CellOutcome(index=cell.index, error=str(exc))
+    return CellOutcome(index=cell.index, result=result)
 
 
-def cell_from_result(result: ScenarioResult) -> Dict[str, Any]:
-    """One ladder cell from a completed run.
+def _ladder_cell(outcome: CellOutcome) -> Dict[str, Any]:
+    """One ladder cell from its outcome.
 
-    Public because it is the *only* way a run becomes a cell: the
-    in-process runner, the store-hit path and the simserve scheduler
-    all fold through here, which is what keeps a ladder's JSON
-    byte-identical whatever executed its cells.
+    Every run becomes a cell here -- computed or loaded, by the CLI or
+    by simserve -- which keeps a ladder's JSON byte-identical whatever
+    executed its cells.  No result means the run stalled: unbounded.
     """
+    result = outcome.result
+    if result is None:
+        return {"stalled": True, "max_ns": None,
+                "error": outcome.error or "", "faults": None}
     faults = result.faults
-    cell: Dict[str, Any] = {
-        "stalled": False,
-        "max_ns": int(result.recorder.max()),
-        "faults": None,
-    }
-    if faults is not None:
-        cell["faults"] = {"injections": faults["injections"],
-                          "digest": faults["digest"],
-                          "by_injector": faults["by_injector"]}
-    return cell
-
-
-def stalled_cell(error: str) -> Dict[str, Any]:
-    return {"stalled": True, "max_ns": None, "error": error,
-            "faults": None}
+    return {"stalled": False, "max_ns": int(result.recorder.max()),
+            "faults": None if faults is None else {
+                key: faults[key]
+                for key in ("injections", "digest", "by_injector")}}
 
 
 @dataclass
@@ -150,6 +150,14 @@ class MarginResult:
     def __post_init__(self) -> None:
         if not self.rungs:
             self.rungs = self._fold()
+
+    @classmethod
+    def from_outcomes(cls, spec: MarginSpec, outcomes: List[CellOutcome],
+                      workers: int = 1) -> "MarginResult":
+        """The ladder from its cells' outcomes, in expansion order."""
+        return cls(spec=spec, jobs=spec.expand(),
+                   cells=[_ladder_cell(o) for o in outcomes],
+                   workers=workers)
 
     def _fold(self) -> List[Dict[str, Any]]:
         rungs: List[Dict[str, Any]] = []
@@ -268,20 +276,17 @@ def predicted_ladder(spec: MarginSpec) -> List[Dict[str, Any]]:
     """
     from repro.analysis.bounds.model import BoundModelError, compute_bounds
 
-    base = scenario(spec.scenario).configured(
-        samples=spec.samples, seed=spec.seed, fault_plan=spec.plan)
     ladder: List[Dict[str, Any]] = []
-    for intensity in spec.intensities:
-        rung = base.configured(fault_intensity=intensity)
+    for job in spec.expand()[::2]:  # the shielded cell of each rung
         try:
-            bounds = compute_bounds(rung)
+            bounds = compute_bounds(job.spec)
             predicted = bounds.response_ns
             detail = bounds.response_detail
         except BoundModelError as exc:
             predicted = None
             detail = f"no finite bound: {exc}"
         ladder.append({
-            "intensity": intensity,
+            "intensity": job.intensity,
             "predicted_ns": predicted,
             "within_bound": (predicted is not None
                              and predicted <= spec.bound_ns),
@@ -317,47 +322,13 @@ def run_margin(spec: MarginSpec, workers: int = 1,
         raise ValueError("workers must be >= 1")
     jobs = spec.expand()
     result_store = open_store(store)
-    code = code_version() if result_store is not None else ""
-
-    cells: List[Optional[Dict[str, Any]]] = [None] * len(jobs)
-    pending: List[MarginJob] = []
-    for job in jobs:
-        if result_store is not None and use_cache:
-            entry = result_store.get(job_key(job.spec, code))
-            if entry is not None:
-                cells[job.index] = (stalled_cell(entry.error)
-                                    if entry.stalled
-                                    else cell_from_result(entry.result))
-                continue
-        pending.append(job)
-
-    def ingest(index: int, result: Optional[ScenarioResult],
-               error: Optional[str]) -> None:
-        job = jobs[index]
-        if result_store is not None:
-            key = job_key(job.spec, code)
-            if result is not None:
-                result_store.put(key, result, code)
-            else:
-                result_store.put_stalled(key, job.spec.name,
-                                         error or "", code)
-        cells[index] = (cell_from_result(result) if result is not None
-                        else stalled_cell(error or ""))
-
-    if pending:
-        if workers == 1 or len(pending) == 1:
-            for job in pending:
-                ingest(*_run_margin_job(job))
-        else:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn")
-            pool_workers = min(workers, len(pending))
-            chunksize = max(1, len(pending) // (pool_workers * 8))
-            with ctx.Pool(processes=pool_workers) as pool:
-                for index, result, error in pool.imap_unordered(
-                        _run_margin_job, pending, chunksize=chunksize):
-                    ingest(index, result, error)
-    return MarginResult(spec=spec, jobs=jobs,
-                        cells=[c for c in cells if c is not None],
-                        workers=workers)
+    outcomes: Dict[int, CellOutcome] = {}
+    execute_cells(
+        [Cell(index=job.index, op="margin", spec=job.spec) for job in jobs],
+        lambda _run, batch, _cached: outcomes.update(
+            (outcome.index, outcome) for outcome in batch),
+        store=result_store,
+        code=code_version() if result_store is not None else "",
+        workers=workers, use_cache=use_cache)
+    return MarginResult.from_outcomes(
+        spec, [outcomes[job.index] for job in jobs], workers=workers)

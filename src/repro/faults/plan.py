@@ -22,6 +22,7 @@ any extra plumbing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Tuple
 
@@ -30,6 +31,15 @@ from repro.sim.simtime import MSEC, USEC
 
 class UnknownFaultPlanError(KeyError):
     """Lookup of a fault plan name that is not registered."""
+
+
+def check_intensity(value: Any, name: str) -> None:
+    """Reject an intensity multiplier unless finite and >= 0 (x0 is the
+    disabled plan); the ValueError names *name*, the flag or field."""
+    if (not isinstance(value, (int, float)) or not math.isfinite(value)
+            or value < 0):
+        raise ValueError(f"{name} must be finite and >= 0, "
+                         f"got {value!r}")
 
 
 @dataclass(frozen=True)

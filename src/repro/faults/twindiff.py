@@ -14,7 +14,7 @@ divergent tracepoint span named in simulated-time coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.sim.simtime import MSEC
 
@@ -89,30 +89,53 @@ def resolve_plan_name(spec: Any, scenario_name: str,
     return spec.fault_plan or f"storm-{base}"
 
 
-def run_twin_diff(twin: TwinDiffSpec) -> TwinDiffResult:
-    """Record both twins of one storm scenario and diff them."""
-    from repro.experiments.scenario import ShieldSpec, scenario
+def twin_cells(twin: TwinDiffSpec) -> List[Any]:
+    """The two record cells: the shielded run, then its unshielded twin.
+
+    The one definition of the storm twin: :func:`run_twin_diff` and
+    simserve's twin-diff jobs both run these cells.  Raises
+    UnknownScenarioError, UnknownFaultPlanError, or ValueError when the
+    scenario has no shield to strip.
+    """
+    from repro.experiments.cells import Cell
+    from repro.experiments.scenario import scenario
     from repro.faults.plan import fault_plan
-    from repro.observe.diff import diff_recordings, record_scenario
 
     base = scenario(twin.scenario)
     plan = fault_plan(resolve_plan_name(base, twin.scenario, twin.plan))
+    if not base.shield.any_component:
+        raise ValueError(
+            f"scenario {twin.scenario!r} runs unshielded; twin-diff "
+            f"needs a shielded baseline to strip")
     spec = base.configured(samples=twin.samples,
                            iterations=twin.iterations, seed=twin.seed,
                            fault_plan=plan.name,
                            fault_intensity=twin.intensity)
-    if not spec.shield.any_component:
-        raise ValueError(
-            f"scenario {twin.scenario!r} runs unshielded; twin-diff "
-            f"needs a shielded baseline to strip")
-    unshielded_spec = spec.with_overrides(
-        shield=ShieldSpec(cpu=spec.shield.cpu))
+    return [Cell(index=0, op="record", spec=spec, capacity=twin.capacity),
+            Cell(index=1, op="record", spec=spec.unshielded(),
+                 capacity=twin.capacity)]
 
-    shielded, _ = record_scenario(spec, capacity=twin.capacity)
-    unshielded, _ = record_scenario(unshielded_spec,
-                                    capacity=twin.capacity)
+
+def twin_result(twin: TwinDiffSpec, bodies: List[Dict[str, Any]]
+                ) -> TwinDiffResult:
+    """Diff the twins' recording bodies (shielded first): the one way a
+    twin-diff result is built."""
+    from repro.observe.diff import TraceRecording, diff_recordings
+
+    shielded, unshielded = (TraceRecording.from_body(b) for b in bodies)
     diff = diff_recordings(shielded, unshielded,
                            a_label="shielded", b_label="unshielded")
     return TwinDiffResult(spec=twin, shielded=shielded,
                           unshielded=unshielded, diff=diff,
-                          details={"plan": plan.name})
+                          details={"plan": shielded.fault_plan})
+
+
+def run_twin_diff(twin: TwinDiffSpec) -> TwinDiffResult:
+    """Record both twins of one storm scenario and diff them."""
+    from repro.experiments.cells import execute_cells
+
+    bodies: Dict[int, Dict[str, Any]] = {}
+    execute_cells(twin_cells(twin),
+                  lambda _run, batch, _cached: bodies.update(
+                      (outcome.index, outcome.body) for outcome in batch))
+    return twin_result(twin, [bodies[0], bodies[1]])

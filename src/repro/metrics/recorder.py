@@ -23,7 +23,7 @@ made exporting a figure O(samples * statistics).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -183,23 +183,6 @@ class LatencyRecorder:
         """Append *other*'s samples (order-preserving, deterministic)."""
         self._data.extend_array(other._data.view())
 
-    @classmethod
-    def merged(cls, name: str, recorders: Sequence["LatencyRecorder"]
-               ) -> "LatencyRecorder":
-        """Combine several recorders into one (e.g. a multi-seed sweep).
-
-        The period is kept only if all inputs agree; a merged recorder
-        is for statistics, not for feeding further ``record_return``
-        calls.
-        """
-        periods = {r.period_ns for r in recorders}
-        period = periods.pop() if len(periods) == 1 else None
-        out = cls(name, period_ns=period,
-                  capacity=sum(r.count for r in recorders))
-        for rec in recorders:
-            out.merge_from(rec)
-        return out
-
 
 class JitterRecorder:
     """Execution-determinism samples (section 5 style)."""
@@ -283,11 +266,3 @@ class JitterRecorder:
             else:
                 self._forced_ideal = min(self._forced_ideal,
                                          other._forced_ideal)
-
-    @classmethod
-    def merged(cls, name: str, recorders: Sequence["JitterRecorder"]
-               ) -> "JitterRecorder":
-        out = cls(name, capacity=sum(r.count for r in recorders))
-        for rec in recorders:
-            out.merge_from(rec)
-        return out

@@ -67,14 +67,13 @@ def golden_path(name: str, directory: str = "") -> str:
 
 def record_golden(name: str) -> TraceRecording:
     """Record one golden per its catalog knobs (current code tree)."""
-    from repro.experiments.scenario import ShieldSpec, scenario
+    from repro.experiments.scenario import scenario
 
     knobs = GOLDEN_SPECS[name]
     spec = scenario(knobs["scenario"]).configured(
         samples=knobs["samples"], seed=knobs["seed"])
     if knobs.get("unshielded"):
-        spec = spec.with_overrides(
-            shield=ShieldSpec(cpu=spec.shield.cpu))
+        spec = spec.unshielded()
     rec, _result = record_scenario(spec, capacity=knobs["capacity"])
     return rec
 

@@ -291,7 +291,7 @@ def spec_for_recording(rec: TraceRecording) -> Any:
     intensity, unshielded twin override) -- re-recording under the
     current code tree is exactly the semantic-golden check.
     """
-    from repro.experiments.scenario import ShieldSpec, scenario
+    from repro.experiments.scenario import scenario
 
     spec = scenario(rec.scenario).configured(
         samples=rec.samples_target,
@@ -301,8 +301,7 @@ def spec_for_recording(rec: TraceRecording) -> Any:
         fault_intensity=rec.fault_intensity,
     )
     if not rec.shielded and spec.shield.any_component:
-        spec = spec.with_overrides(
-            shield=ShieldSpec(cpu=spec.shield.cpu))
+        spec = spec.unshielded()
     return spec
 
 

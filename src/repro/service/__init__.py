@@ -4,9 +4,10 @@ Three layers over the content-addressed result store:
 
 * a **job queue + scheduler** (:mod:`repro.service.queue`,
   :mod:`repro.service.scheduler`) accepting campaign / margin /
-  twin-diff / figure jobs as declarative specs, deduping them against
-  the store by content key, sharding cache-miss cells across a
-  process-pool with the campaign runner's adaptive chunking, and
+  twin-diff / figure jobs as declarative specs, running their cells
+  through the CLI's own executor
+  (:func:`~repro.experiments.cells.execute_cells`: store hits load,
+  misses go to a long-lived process pool in adaptive chunks), and
   journaling job state so a killed server resumes on restart;
 * an **HTTP API** (:mod:`repro.service.http`, stdlib asyncio only)
   serving submissions, status polling/streaming, artifact and report

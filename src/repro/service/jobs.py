@@ -1,14 +1,15 @@
-"""Declarative service jobs and their store-backed cell model.
+"""Declarative service jobs: expansion into cells, and the fold.
 
 A :class:`JobSpec` is the wire format of one unit of service work --
 a campaign, a shield-margin ladder, a storm twin-diff, or a single
 figure export -- as plain JSON-able data.  Each job *expands* into
-:class:`Cell`\\ s: independent, picklable work units (one scenario run
-or one trace recording each) that carry their own content key into
-the result store.  The scheduler dedupes cells against the store,
-ships the misses to worker processes (:func:`run_cell` is the worker
-entry point), and *folds* the ordered outcomes back into the job's
-artifact with :func:`fold_job`.
+:class:`~repro.experiments.cells.Cell`\\ s: independent, picklable
+work units (one scenario run or one trace recording each) that carry
+their own content key into the result store.  The scheduler runs them
+through :func:`~repro.experiments.cells.execute_cells` -- the same
+executor the CLI's campaign, margin ladder and twin-diff use -- and
+*folds* the ordered outcomes back into the job's artifact with
+:func:`fold_job`.
 
 The fold goes through exactly the code paths the one-shot CLI uses
 (:func:`~repro.experiments.export.campaign_to_dict`,
@@ -25,19 +26,20 @@ tree names a new one, exactly like the store's cell keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.experiments.scenario import (
-    ScenarioResult,
-    ScenarioSpec,
-    ShieldSpec,
-    UnknownScenarioError,
-    run_scenario,
-    scenario,
+from repro.experiments.cells import (
+    Cell,
+    CellOutcome,
+    cell_key,
+    load_cached,
+    persist,
+    run_cell,
+    run_cells,
 )
-from repro.sim.errors import SimulationStalledError
-from repro.store.keys import code_version, digest_of, job_key, recording_key
+from repro.experiments.scenario import UnknownScenarioError, scenario
+from repro.store.keys import code_version, digest_of
 
 #: The job kinds the service accepts.
 JOB_KINDS = ("campaign", "figure", "margin", "twin-diff")
@@ -88,25 +90,9 @@ class JobSpec:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "scenarios": list(self.scenarios),
-            "seeds": list(self.seeds),
-            "fault_plan": self.fault_plan,
-            "fault_intensity": self.fault_intensity,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "plan": self.plan,
-            "intensities": list(self.intensities),
-            "bound_us": self.bound_us,
-            "intensity": self.intensity,
-            "capacity": self.capacity,
-            "samples": self.samples,
-            "iterations": self.iterations,
-            "priority": self.priority,
-            "max_workers": self.max_workers,
-            "use_cache": self.use_cache,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in data.items()}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobSpec":
@@ -120,11 +106,17 @@ class JobSpec:
             raise JobError(f"job spec needs a 'kind' "
                            f"(one of {', '.join(JOB_KINDS)})")
         out = dict(data)
-        if "scenarios" in out:
-            value = out["scenarios"]
-            if isinstance(value, str):
-                value = [n.strip() for n in value.split(",") if n.strip()]
-            out["scenarios"] = tuple(str(n) for n in value)
+        for name, parse in (("scenarios", str), ("intensities", float)):
+            if name in out:
+                value = out[name]
+                if isinstance(value, str):  # comma-separated
+                    value = [x.strip() for x in value.split(",")
+                             if x.strip()]
+                try:
+                    out[name] = tuple(parse(x) for x in value)
+                except (TypeError, ValueError):
+                    raise JobError(
+                        f"malformed {name} {out[name]!r}") from None
         if "seeds" in out:
             value = out["seeds"]
             if isinstance(value, str):
@@ -138,14 +130,6 @@ class JobSpec:
                 out["seeds"] = tuple(int(s) for s in value)
             except (TypeError, ValueError):
                 raise JobError(f"malformed seeds {value!r}") from None
-        if "intensities" in out:
-            try:
-                out["intensities"] = tuple(float(x)
-                                           for x in out["intensities"])
-            except (TypeError, ValueError):
-                raise JobError(
-                    f"malformed intensities {out['intensities']!r}"
-                ) from None
         try:
             spec = cls(**out)
         except TypeError as exc:
@@ -171,10 +155,13 @@ class JobSpec:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Reject specs the scheduler could never run (raises JobError)."""
+        from repro.faults.plan import UnknownFaultPlanError
+
         if self.kind not in JOB_KINDS:
             raise JobError(f"unknown job kind {self.kind!r} "
                            f"(one of {', '.join(JOB_KINDS)})")
         try:
+            self._check_numbers()
             if self.kind == "campaign":
                 if not self.scenarios:
                     raise JobError("a campaign job needs 'scenarios'")
@@ -186,69 +173,45 @@ class JobSpec:
                 if not self.scenario:
                     raise JobError(
                         f"a {self.kind} job needs 'scenario'")
-                base = scenario(self.scenario)
-                if self.kind in ("margin", "twin-diff"):
-                    self._resolve_plan(base)
-                if self.kind == "margin" and not self.intensities:
-                    raise JobError("a margin job needs 'intensities'")
-                if (self.kind == "twin-diff"
-                        and not base.shield.any_component):
-                    raise JobError(
-                        f"scenario {self.scenario!r} runs unshielded; "
-                        f"twin-diff needs a shielded baseline to strip")
-        except UnknownScenarioError as exc:
+                scenario(self.scenario)
+                if self.kind == "margin":
+                    if not self.intensities:
+                        raise JobError("a margin job needs 'intensities'")
+                    _margin_spec(self)
+                if self.kind == "twin-diff":
+                    from repro.faults.twindiff import twin_cells
+
+                    twin_cells(_twin_spec(self))
+        except (UnknownScenarioError, UnknownFaultPlanError,
+                ValueError) as exc:
             raise JobError(str(exc)) from None
 
-    def _resolve_plan(self, base: ScenarioSpec) -> str:
-        from repro.faults.plan import UnknownFaultPlanError, fault_plan
-        from repro.faults.twindiff import resolve_plan_name
+    def _check_numbers(self) -> None:
+        """Every numeric field in range, whatever the kind reads
+        (raises ValueError naming the field)."""
+        from repro.faults.margin import bound_ns_of
+        from repro.faults.plan import check_intensity
 
-        name = resolve_plan_name(base, self.scenario, self.plan)
-        try:
-            return fault_plan(name).name
-        except UnknownFaultPlanError as exc:
-            raise JobError(str(exc)) from None
-
-
-# ----------------------------------------------------------------------
-# Cells: the independent, store-keyed work units of a job
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Cell:
-    """One picklable work unit: a scenario run or a trace recording.
-
-    ``op`` selects the worker behaviour and the store entry kind:
-
-    * ``"scenario"`` -- run and persist a full result; a stall is an
-      error (campaign semantics);
-    * ``"margin"`` -- run, but a stall is a *data point* (the ladder's
-      unbounded cell), persisted as a stalled marker;
-    * ``"record"`` -- run traced and persist the RTRACE1 body.
-    """
-
-    index: int
-    op: str
-    spec: ScenarioSpec
-    capacity: int = 0
-
-
-@dataclass
-class CellOutcome:
-    """What came back for one cell (exactly one field set per op)."""
-
-    index: int
-    result: Optional[ScenarioResult] = None
-    error: Optional[str] = None
-    body: Optional[Dict[str, Any]] = None
+        for value in self.intensities:
+            check_intensity(value, "'intensities'")
+        check_intensity(self.intensity, "'intensity'")
+        if self.fault_intensity is not None:
+            check_intensity(self.fault_intensity, "'fault_intensity'")
+        bound_ns_of(self.bound_us, "'bound_us'")
+        for name in ("samples", "iterations", "capacity"):
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, int)
+                                      or value < 1):
+                raise JobError(f"'{name}' must be an integer >= 1, "
+                               f"got {value!r}")
 
 
 def expand_cells(job: JobSpec) -> List[Cell]:
     """The job's deterministic cell list (validates as a side effect)."""
     job.validate()
     if job.kind == "campaign":
-        spec = _campaign_spec(job)
         return [Cell(index=cj.index, op="scenario", spec=cj.spec)
-                for cj in spec.expand()]
+                for cj in _campaign_spec(job).expand()]
     if job.kind == "figure":
         spec = scenario(job.scenario).configured(
             samples=job.samples, iterations=job.iterations,
@@ -257,78 +220,9 @@ def expand_cells(job: JobSpec) -> List[Cell]:
     if job.kind == "margin":
         return [Cell(index=mj.index, op="margin", spec=mj.spec)
                 for mj in _margin_spec(job).expand()]
-    # twin-diff: the shielded recording then its unshielded twin.
-    shielded, unshielded = _twin_specs(job)
-    return [Cell(index=0, op="record", spec=shielded,
-                 capacity=job.capacity),
-            Cell(index=1, op="record", spec=unshielded,
-                 capacity=job.capacity)]
+    from repro.faults.twindiff import twin_cells
 
-
-def cell_key(cell: Cell, code: str) -> str:
-    """The content-store key this cell's outcome lives under."""
-    if cell.op == "record":
-        return recording_key(cell.spec, cell.capacity, code=code)
-    return job_key(cell.spec, code)
-
-
-def load_cached(store: Any, cell: Cell, code: str
-                ) -> Optional[CellOutcome]:
-    """The cell's outcome from the store, or None on a miss.
-
-    A stalled marker is a *hit* for margin cells (the ladder caches
-    unbounded rungs) and a miss for scenario cells (the campaign
-    recomputes, mirroring :class:`CampaignRunner`).
-    """
-    if cell.op == "record":
-        body = store.get_recording(cell_key(cell, code))
-        if body is None:
-            return None
-        return CellOutcome(index=cell.index, body=body)
-    entry = store.get(cell_key(cell, code))
-    if entry is None:
-        return None
-    if entry.stalled:
-        if cell.op == "margin":
-            return CellOutcome(index=cell.index, error=entry.error or "")
-        return None
-    return CellOutcome(index=cell.index, result=entry.result)
-
-
-def persist(store: Any, cell: Cell, outcome: CellOutcome,
-            code: str) -> None:
-    """Write one computed outcome to the store (atomic, keyed)."""
-    key = cell_key(cell, code)
-    if cell.op == "record":
-        store.put_recording(key, outcome.body, code=code)
-    elif outcome.result is not None:
-        store.put(key, outcome.result, code)
-    else:
-        store.put_stalled(key, cell.spec.name, outcome.error or "", code)
-
-
-# ----------------------------------------------------------------------
-# Worker entry points (module-level: must pickle under spawn)
-# ----------------------------------------------------------------------
-def run_cell(cell: Cell) -> CellOutcome:
-    """Execute one cell in a worker process."""
-    if cell.op == "record":
-        from repro.observe.diff import record_scenario
-
-        rec, _result = record_scenario(cell.spec, capacity=cell.capacity)
-        return CellOutcome(index=cell.index, body=rec.to_body())
-    if cell.op == "margin":
-        try:
-            result = run_scenario(cell.spec)
-        except SimulationStalledError as exc:
-            return CellOutcome(index=cell.index, error=str(exc))
-        return CellOutcome(index=cell.index, result=result)
-    return CellOutcome(index=cell.index, result=run_scenario(cell.spec))
-
-
-def run_cells(cells: List[Cell]) -> List[CellOutcome]:
-    """One worker chunk: several cells, one IPC round trip."""
-    return [run_cell(cell) for cell in cells]
+    return twin_cells(_twin_spec(job))
 
 
 # ----------------------------------------------------------------------
@@ -372,6 +266,16 @@ def _artifact_text(to_json: Any, data: Dict[str, Any]) -> str:
     return to_json(data) + "\n"
 
 
+def _present(job: JobSpec, outcomes: List[CellOutcome],
+             name: str) -> List[Any]:
+    """Each outcome's *name* field; a cell without one fails the fold."""
+    for outcome in outcomes:
+        if getattr(outcome, name) is None:
+            raise JobError(f"{job.kind} cell {outcome.index} has no "
+                           f"{name} ({outcome.error or 'missing'})")
+    return [getattr(outcome, name) for outcome in outcomes]
+
+
 def _fold_campaign(job: JobSpec, outcomes: List[CellOutcome],
                    to_json: Any) -> JobArtifact:
     from repro.experiments.campaign import CampaignResult
@@ -379,14 +283,8 @@ def _fold_campaign(job: JobSpec, outcomes: List[CellOutcome],
 
     spec = _campaign_spec(job)
     jobs = spec.expand()
-    runs = []
-    for outcome in outcomes:
-        if outcome.result is None:
-            raise JobError(
-                f"campaign cell {outcome.index} has no result "
-                f"({outcome.error or 'missing'})")
-        runs.append(outcome.result)
-    result = CampaignResult(campaign=spec, jobs=jobs, runs=runs)
+    result = CampaignResult(campaign=spec, jobs=jobs,
+                            runs=_present(job, outcomes, "result"))
     stats = {name: {"count": rec.count, "max_ns": int(rec.max())}
              for name, rec in sorted(result.merged.items())}
     return JobArtifact(
@@ -399,10 +297,7 @@ def _fold_figure(job: JobSpec, outcomes: List[CellOutcome],
                  to_json: Any) -> JobArtifact:
     from repro.experiments.export import scenario_to_dict
 
-    result = outcomes[0].result
-    if result is None:
-        raise JobError(f"figure cell has no result "
-                       f"({outcomes[0].error or 'missing'})")
+    (result,) = _present(job, outcomes, "result")
     return JobArtifact(
         artifact=_artifact_text(to_json, scenario_to_dict(result)),
         report=result.report(),
@@ -412,21 +307,9 @@ def _fold_figure(job: JobSpec, outcomes: List[CellOutcome],
 
 def _fold_margin(job: JobSpec, outcomes: List[CellOutcome],
                  to_json: Any) -> JobArtifact:
-    from repro.faults.margin import (
-        MarginResult,
-        cell_from_result,
-        stalled_cell,
-    )
+    from repro.faults.margin import MarginResult
 
-    mspec = _margin_spec(job)
-    jobs = mspec.expand()
-    cells = []
-    for outcome in outcomes:
-        if outcome.result is not None:
-            cells.append(cell_from_result(outcome.result))
-        else:
-            cells.append(stalled_cell(outcome.error or ""))
-    result = MarginResult(spec=mspec, jobs=jobs, cells=cells)
+    result = MarginResult.from_outcomes(_margin_spec(job), outcomes)
     return JobArtifact(
         artifact=_artifact_text(to_json, result.to_dict()),
         report=result.summary(),
@@ -436,33 +319,15 @@ def _fold_margin(job: JobSpec, outcomes: List[CellOutcome],
 
 def _fold_twin(job: JobSpec, outcomes: List[CellOutcome],
                to_json: Any) -> JobArtifact:
-    from repro.faults.twindiff import TwinDiffResult, TwinDiffSpec
-    from repro.observe.diff import TraceRecording, diff_recordings
+    from repro.faults.twindiff import twin_result
 
-    recs = []
-    for outcome in outcomes:
-        if outcome.body is None:
-            raise JobError(
-                f"twin-diff cell {outcome.index} has no recording "
-                f"({outcome.error or 'missing'})")
-        recs.append(TraceRecording.from_body(outcome.body))
-    shielded, unshielded = recs
-    diff = diff_recordings(shielded, unshielded,
-                           a_label="shielded", b_label="unshielded")
-    twin = TwinDiffSpec(scenario=job.scenario, plan=job.plan,
-                        intensity=job.intensity, samples=job.samples,
-                        iterations=job.iterations, seed=job.seed,
-                        capacity=job.capacity)
-    plan_name = job._resolve_plan(scenario(job.scenario))
-    result = TwinDiffResult(spec=twin, shielded=shielded,
-                            unshielded=unshielded, diff=diff,
-                            details={"plan": plan_name})
+    result = twin_result(_twin_spec(job), _present(job, outcomes, "body"))
     return JobArtifact(
         artifact=_artifact_text(to_json, result.to_dict()),
         report=result.summary(),
         stats={"shielded_within_bound": result.shielded_within_bound,
-               "shielded_max_ns": shielded.max_latency_ns(),
-               "unshielded_max_ns": unshielded.max_latency_ns()})
+               "shielded_max_ns": result.shielded.max_latency_ns(),
+               "unshielded_max_ns": result.unshielded.max_latency_ns()})
 
 
 # ----------------------------------------------------------------------
@@ -479,30 +344,28 @@ def _campaign_spec(job: JobSpec) -> Any:
 
 
 def _margin_spec(job: JobSpec) -> Any:
-    from repro.faults.margin import MarginSpec
+    from repro.faults.margin import MarginSpec, bound_ns_of
+    from repro.faults.plan import fault_plan
+    from repro.faults.twindiff import resolve_plan_name
 
     base = scenario(job.scenario)
-    plan_name = job._resolve_plan(base)
+    plan = fault_plan(resolve_plan_name(base, job.scenario, job.plan))
     return MarginSpec(
-        scenario=base.name, plan=plan_name,
+        scenario=base.name, plan=plan.name,
         intensities=tuple(job.intensities),
-        bound_ns=int(job.bound_us * 1_000),
+        bound_ns=bound_ns_of(job.bound_us, "'bound_us'"),
         samples=job.samples, seed=job.seed)
 
 
-def _twin_specs(job: JobSpec) -> Tuple[ScenarioSpec, ScenarioSpec]:
-    base = scenario(job.scenario)
-    plan_name = job._resolve_plan(base)
-    spec = base.configured(samples=job.samples,
-                           iterations=job.iterations, seed=job.seed,
-                           fault_plan=plan_name,
-                           fault_intensity=job.intensity)
-    unshielded = spec.with_overrides(
-        shield=ShieldSpec(cpu=spec.shield.cpu))
-    return spec, unshielded
+def _twin_spec(job: JobSpec) -> Any:
+    from repro.faults.twindiff import TwinDiffSpec
+
+    return TwinDiffSpec(scenario=job.scenario, plan=job.plan,
+                        intensity=job.intensity, samples=job.samples,
+                        iterations=job.iterations, seed=job.seed,
+                        capacity=job.capacity)
 
 
-# Keep `replace` importable for callers tweaking specs functionally.
 __all__ = [
     "JOB_KINDS",
     "Cell",
@@ -515,7 +378,6 @@ __all__ = [
     "fold_job",
     "load_cached",
     "persist",
-    "replace",
     "run_cell",
     "run_cells",
 ]

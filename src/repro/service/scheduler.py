@@ -2,21 +2,16 @@
 
 One asyncio task (:meth:`Scheduler.run`) owns the dispatch loop: it
 pops jobs off the :class:`~repro.service.queue.JobQueue` in priority
-order, runs up to ``parallel_jobs`` of them concurrently, and for
-each job
-
-1. expands the spec into cells and looks every cell up in the result
-   store by content key -- a **fully cached job folds straight to its
-   artifact without ever creating the worker pool** (the pool is
-   lazy, which is how warm re-submission provably spawns nothing);
-2. shards the misses across a fork-context
-   :class:`~concurrent.futures.ProcessPoolExecutor` using the
-   campaign runner's adaptive chunking
-   (``max(1, misses // (workers * 8))``), persisting each outcome to
-   the store the moment its chunk lands;
-3. folds the ordered outcomes through the same export code the
-   one-shot CLI uses, so the artifact is byte-identical whatever the
-   worker count, chunk order, or cache temperature.
+order, runs up to ``parallel_jobs`` of them concurrently, and runs
+each job on a worker thread through the CLI's own cell executor,
+:func:`~repro.experiments.cells.execute_cells`: store hits load,
+misses go to the scheduler's long-lived fork pool in adaptive chunks,
+every outcome is persisted the moment its chunk lands, and the
+ordered outcomes fold through the CLI's export code, so the artifact
+is byte-identical whatever the worker count, chunk order, or cache
+temperature.  A **fully cached job folds straight to its artifact
+without ever creating the worker pool** (the pool is lazy, which is
+how warm re-submission provably spawns nothing).
 
 :meth:`drain` is the graceful-shutdown half: no new jobs start, no
 new chunks are submitted, in-flight chunks finish and persist, and
@@ -32,21 +27,17 @@ and streams wait on.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
+import threading
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.service.jobs import (
-    Cell,
+from repro.experiments.cells import (
     CellOutcome,
-    JobSpec,
-    expand_cells,
-    fold_job,
-    load_cached,
-    persist,
-    run_cells,
+    CellRun,
+    execute_cells,
+    fork_pool,
 )
+from repro.service.jobs import JobArtifact, JobSpec, expand_cells, fold_job
 from repro.service.queue import JobQueue, JobRecord
 from repro.store.keys import code_version
 from repro.store.store import ResultStore, open_store
@@ -76,7 +67,8 @@ class Scheduler:
         self.cells_computed = 0
         self.cells_cached = 0
         self.jobs_finished = 0
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._executor: Optional[Any] = None
+        self._pool_lock = threading.Lock()
         self._pool_created = False
         self._draining = False
         self._stopped = asyncio.Event()
@@ -236,86 +228,64 @@ class Scheduler:
 
     async def _execute(self, record: JobRecord) -> bool:
         """Run one job; True if drain interrupted it mid-cells."""
-        spec = record.spec
-        cells = expand_cells(spec)
-        outcomes: Dict[int, CellOutcome] = {}
-        pending: List[Cell] = []
-        for cell in cells:
-            cached = (load_cached(self.store, cell, self.code)
-                      if spec.use_cache else None)
-            if cached is not None:
-                outcomes[cell.index] = cached
-            else:
-                pending.append(cell)
-        self.cells_cached += len(outcomes)
-        self.queue.progress(record.job_id, cells_done=len(outcomes),
-                            cells_total=len(cells),
-                            cache_hits=len(outcomes))
-        await self._bump()
-
-        if pending:
-            interrupted = await self._run_pending(record, spec, cells,
-                                                  pending, outcomes)
-            if interrupted:
-                return True
-
-        ordered = [outcomes[cell.index] for cell in cells]
-        artifact = await asyncio.get_running_loop().run_in_executor(
-            None, fold_job, spec, ordered)
+        loop = asyncio.get_running_loop()
+        artifact = await loop.run_in_executor(None, self._compute,
+                                              record, loop)
+        if artifact is None:
+            return True
         self.queue.finish(record.job_id, artifact)
         return False
 
-    async def _run_pending(self, record: JobRecord, spec: JobSpec,
-                           cells: List[Cell], pending: List[Cell],
-                           outcomes: Dict[int, CellOutcome]) -> bool:
-        """Shard the cache misses across the pool; True on drain."""
+    def _compute(self, record: JobRecord, loop: asyncio.AbstractEventLoop
+                 ) -> Optional[JobArtifact]:
+        """Expand, execute and fold one job (a worker thread).
+
+        Every landed batch waits for its progress to be applied on the
+        loop, so a drain set there is seen before the next submission.
+        None if the drain interrupted the job.
+        """
+        spec = record.spec
+        cells = expand_cells(spec)
+        outcomes: Dict[int, CellOutcome] = {}
+
+        def landed(run: CellRun, batch: List[CellOutcome],
+                   cached: bool) -> None:
+            outcomes.update((outcome.index, outcome) for outcome in batch)
+            asyncio.run_coroutine_threadsafe(
+                self._landed(record, run, len(batch), cached),
+                loop).result()
+
         workers = self.workers
         if spec.max_workers:
             workers = max(1, min(workers, spec.max_workers))
-        chunksize = max(1, len(pending) // (workers * 8))
-        chunks = [pending[i:i + chunksize]
-                  for i in range(0, len(pending), chunksize)]
-        executor = self._ensure_pool()
-        loop = asyncio.get_running_loop()
-        in_flight: Dict[asyncio.Future, List[Cell]] = {}
-        next_chunk = 0
-        interrupted = False
-        while next_chunk < len(chunks) or in_flight:
-            if self._draining:
-                interrupted = True  # let in-flight land, submit no more
-            while (not interrupted and next_chunk < len(chunks)
-                   and len(in_flight) < workers * 2):
-                chunk = chunks[next_chunk]
-                next_chunk += 1
-                future = asyncio.ensure_future(asyncio.wrap_future(
-                    executor.submit(run_cells, chunk), loop=loop))
-                in_flight[future] = chunk
-            if not in_flight:
-                break
-            done, _ = await asyncio.wait(
-                in_flight, return_when=asyncio.FIRST_COMPLETED)
-            for future in done:
-                chunk = in_flight.pop(future)
-                results = future.result()  # raises job-failing errors
-                for cell, outcome in zip(chunk, results):
-                    persist(self.store, cell, outcome, self.code)
-                    outcomes[cell.index] = outcome
-                    self.cells_computed += 1
-                self.queue.progress(
-                    record.job_id, cells_done=len(outcomes),
-                    cells_total=len(cells),
-                    cache_hits=record.cache_hits)
-                await self._bump()
-        return interrupted and len(outcomes) < len(cells)
+        run = execute_cells(cells, landed, store=self.store,
+                            code=self.code, workers=workers,
+                            use_cache=spec.use_cache,
+                            pool=self._ensure_pool,
+                            stop=lambda: self._draining)
+        if not run.complete:
+            return None
+        return fold_job(spec, [outcomes[cell.index] for cell in cells])
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        """Create the worker pool on first cache miss (lazy)."""
-        if self._executor is None:
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX
-                ctx = multiprocessing.get_context()
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=ctx)
-            self._pool_created = True
-        return self._executor
+    async def _landed(self, record: JobRecord, run: CellRun, count: int,
+                      cached: bool) -> None:
+        if cached:
+            self.cells_cached += count
+        else:
+            self.cells_computed += count
+        self.queue.progress(record.job_id,
+                            cells_done=run.hits + run.computed,
+                            cells_total=run.total, cache_hits=run.hits)
+        await self._bump()
+
+    def _ensure_pool(self) -> Any:
+        """The worker pool, created on the first cache miss (lazy).
+
+        Job threads call this; the lock keeps two jobs that miss at
+        once from forking two pools.
+        """
+        with self._pool_lock:
+            if self._executor is None:
+                self._executor = fork_pool(self.workers)
+                self._pool_created = True
+            return self._executor

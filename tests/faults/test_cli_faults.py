@@ -64,3 +64,14 @@ class TestMargin:
         data = json.loads(out_json.read_text())
         assert data["plan"] == "storm-fig6"
         assert len(data["rungs"]) == 2
+
+    def test_non_finite_intensity_names_the_flag(self, capsys, tmp_path):
+        import pytest
+
+        out_json = tmp_path / "margin.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["faults", "margin", "fig6", "--samples", "300",
+                  "--intensities", "nan", "--json", str(out_json)])
+        assert exit_info.value.code == 2
+        assert "--intensities" in capsys.readouterr().err
+        assert not out_json.exists()

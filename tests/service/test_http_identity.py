@@ -28,6 +28,8 @@ CAMPAIGN = {"kind": "campaign", "scenarios": "fig7", "seeds": "1..4",
             "samples": 120}
 MARGIN = {"kind": "margin", "scenario": "fig6",
           "intensities": [0.5, 1.0], "samples": 400, "seed": 1}
+TWIN = {"kind": "twin-diff", "scenario": "storm-fig6", "samples": 200,
+        "seed": 2}
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +46,14 @@ def cli_artifacts(tmp_path_factory):
     assert cli_main(["faults", "margin", "fig6", "--intensities",
                      "0.5,1", "--samples", "400", "--seed", "1",
                      "--json", str(out / "margin.json")]) == 0
+    assert cli_main(["diff", "twin", "storm-fig6", "--samples", "200",
+                     "--seed", "2", "--json", str(out / "twin.json")]) == 0
     return {
         "fig6": (out / "fig6.json").read_bytes(),
         "fig7": (out / "fig7.json").read_bytes(),
         "campaign": (out / "campaign.json").read_bytes(),
         "margin": (out / "margin.json").read_bytes(),
+        "twin": (out / "twin.json").read_bytes(),
     }
 
 
@@ -62,7 +67,7 @@ def warm_store(tmp_path_factory):
         ids = {name: client.submit(spec)["id"]
                for name, spec in [("fig6", FIG6), ("fig7", FIG7),
                                   ("campaign", CAMPAIGN),
-                                  ("margin", MARGIN)]}
+                                  ("margin", MARGIN), ("twin", TWIN)]}
         for name, job_id in ids.items():
             final = client.wait(job_id, poll_s=10.0)
             assert final["state"] == "done", final.get("error")
@@ -72,7 +77,7 @@ def warm_store(tmp_path_factory):
 
 class TestByteIdentity:
     @pytest.mark.parametrize("name", ["fig6", "fig7", "campaign",
-                                      "margin"])
+                                      "margin", "twin"])
     def test_cold_http_equals_cli(self, name, cli_artifacts,
                                   warm_store):
         _root, served = warm_store
@@ -123,6 +128,10 @@ class TestHttpContract:
             with pytest.raises(ServiceError) as err:
                 client.submit({"kind": "mystery"})
             assert err.value.status == 400
+            with pytest.raises(ServiceError) as err:
+                client.submit(dict(MARGIN, intensities=[float("nan")]))
+            assert err.value.status == 400
+            assert "'intensities'" in str(err.value)
 
     def test_unknown_job_is_404(self, tmp_path):
         with ServerThread(str(tmp_path / "store")) as addr:

@@ -52,6 +52,41 @@ class TestSpecParsing:
             JobSpec.from_dict({"kind": "campaign",
                                "scenarios": "fig7", "seeds": "8..1"})
 
+    def test_string_intensities_split_on_commas(self):
+        spec = JobSpec.from_dict({"kind": "margin", "scenario": "fig6",
+                                  "intensities": "0.5, 2"})
+        assert spec.intensities == (0.5, 2.0)
+
+    def test_zero_intensity_is_the_disabled_plan(self):
+        spec = JobSpec.from_dict({"kind": "margin", "scenario": "fig6",
+                                  "intensities": [0, 1.0]})
+        assert spec.intensities == (0.0, 1.0)
+
+    @pytest.mark.parametrize("field,value,kind", [
+        ("intensities", [float("nan")], "margin"),
+        ("intensities", [float("inf")], "margin"),
+        ("intensities", [0.5, -1.0], "margin"),
+        ("intensity", float("nan"), "twin-diff"),
+        ("intensity", -1.0, "twin-diff"),
+        ("fault_intensity", float("nan"), "campaign"),
+        ("fault_intensity", -0.5, "campaign"),
+        ("bound_us", -5.0, "margin"),
+        ("bound_us", 0, "margin"),
+        ("bound_us", float("inf"), "margin"),
+        ("samples", -3, "figure"),
+        ("samples", 0, "margin"),
+        ("iterations", 0, "figure"),
+        ("capacity", 0, "twin-diff"),
+    ])
+    def test_malformed_value_names_the_field(self, field, value, kind):
+        data = {"kind": kind, field: value}
+        if kind == "campaign":
+            data["scenarios"] = "fig7"
+        else:
+            data["scenario"] = "storm-fig6"
+        with pytest.raises(JobError, match=f"'{field}'"):
+            JobSpec.from_dict(data)
+
     def test_twin_diff_needs_shielded_baseline(self):
         # fig5 runs unshielded: there is no shield to strip.
         with pytest.raises(JobError, match="unshielded"):
@@ -147,13 +182,13 @@ class TestWorkerEntry:
     def test_run_cell_margin_stall_is_data(self, monkeypatch):
         """A stalled margin cell returns an error outcome, not a
         raised exception (the ladder's unbounded rung)."""
-        from repro.service import jobs as jobs_mod
+        from repro.faults import margin as margin_mod
         from repro.sim.errors import SimulationStalledError
 
         def stall(_spec):
             raise SimulationStalledError("no progress")
 
-        monkeypatch.setattr(jobs_mod, "run_scenario", stall)
+        monkeypatch.setattr(margin_mod, "run_scenario", stall)
         spec = JobSpec.from_dict({"kind": "margin",
                                   "scenario": "fig6",
                                   "intensities": [4.0],
@@ -164,13 +199,13 @@ class TestWorkerEntry:
         assert "no progress" in outcome.error
 
     def test_run_cell_scenario_stall_raises(self, monkeypatch):
-        from repro.service import jobs as jobs_mod
+        from repro.experiments import campaign as campaign_mod
         from repro.sim.errors import SimulationStalledError
 
-        def stall(_spec):
+        def stall(_spec, **_kwargs):
             raise SimulationStalledError("no progress")
 
-        monkeypatch.setattr(jobs_mod, "run_scenario", stall)
+        monkeypatch.setattr(campaign_mod, "run_scenario", stall)
         spec = JobSpec.from_dict({"kind": "figure",
                                   "scenario": "fig7", "samples": 80})
         cell = expand_cells(spec)[0]

@@ -102,14 +102,14 @@ class TestExecution:
 
     def test_worker_failure_fails_the_job(self, tmp_path,
                                           monkeypatch):
-        import repro.service.jobs as jobs_mod
+        import repro.experiments.campaign as campaign_mod
 
-        def explode(_spec):
+        def explode(_spec, **_kwargs):
             raise RuntimeError("injected worker crash")
 
         # The pool is forked lazily *after* this patch, so workers
         # inherit the exploding run_scenario.
-        monkeypatch.setattr(jobs_mod, "run_scenario", explode)
+        monkeypatch.setattr(campaign_mod, "run_scenario", explode)
         sched = build(str(tmp_path / "store"), workers=1)
 
         async def main():
