@@ -229,6 +229,20 @@ def parse_size(text: str) -> int:
     return value
 
 
+def _ring_capacity(text: str) -> int:
+    """argparse type of ``--capacity`` on the traced commands: a
+    per-CPU trace ring holds at least one event."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"per-CPU trace ring capacity must be an integer >= 1, "
+            f"got {text!r}")
+    return value
+
+
 def _progress(message: str) -> None:
     """Campaign progress lines go to stderr: stdout carries the
     summary/JSON that byte-identity checks compare."""
@@ -351,7 +365,7 @@ def _cmd_trace(argv) -> int:
     parser.add_argument("--iterations", type=int, default=15)
     parser.add_argument("--samples", type=int, default=20_000)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--capacity", type=int, default=65536,
+    parser.add_argument("--capacity", type=_ring_capacity, default=65536,
                         help="per-CPU trace ring capacity (events)")
     parser.add_argument("--threshold-pct", type=float, default=99.0,
                         help="attribute samples at/above this latency "
@@ -703,7 +717,7 @@ def _cmd_diff_record(argv) -> int:
     parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--iterations", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--capacity", type=int, default=65536,
+    parser.add_argument("--capacity", type=_ring_capacity, default=65536,
                         help="per-CPU trace ring capacity (events)")
     parser.add_argument("--plan", default="",
                         help="fault plan to run under (default: the "
@@ -837,7 +851,8 @@ def _cmd_diff_twin(argv) -> int:
     parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--iterations", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--capacity", type=int, default=65536)
+    parser.add_argument("--capacity", type=_ring_capacity, default=65536,
+                        help="per-CPU trace ring capacity (events)")
     parser.add_argument("--expect-buckets", default="",
                         metavar="B1,B2,...",
                         help="fail unless each listed mechanism is "

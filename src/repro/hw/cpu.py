@@ -48,6 +48,8 @@ class FrameKind(enum.Enum):
     # Enum's default __hash__ is a Python-level function; these members
     # key the per-CPU frame-kind counters on every push/pop, so use the
     # identity hash (members are singletons, equality is identity).
+    # For the same reason the frame tracepoints read ``kind._value_``,
+    # a plain attribute, not the ``Enum.value`` descriptor.
     __hash__ = object.__hash__
 
 
@@ -192,7 +194,7 @@ class LogicalCpu:
                 self.hss_count += 1
         tp = self.tp
         if tp.enabled:
-            tp.frame_push(self.sim.now, self.index, kind.value, frame.label,
+            tp.frame_push(self.sim.now, self.index, kind._value_, frame.label,
                           getattr(frame.owner, "name", ""))
         self._start_top()
         if not was_busy:
@@ -263,7 +265,7 @@ class LogicalCpu:
         frame.remaining = 0.0
         tp = self.tp
         if tp.enabled:
-            tp.frame_pop(self.sim.now, self.index, kind.value, frame.label,
+            tp.frame_pop(self.sim.now, self.index, kind._value_, frame.label,
                          getattr(frame.owner, "name", ""))
         # The completion callback may push new frames (e.g. chained
         # interrupts); resume the underlying frame only if it is still
@@ -287,7 +289,7 @@ class LogicalCpu:
             frame._event = None
         tp = self.tp
         if tp.enabled:
-            tp.frame_pop(self.sim.now, self.index, kind.value, frame.label,
+            tp.frame_pop(self.sim.now, self.index, kind._value_, frame.label,
                          getattr(frame.owner, "name", ""))
         # The completion callback may push new frames (e.g. chained
         # interrupts); resume the underlying frame only if it is still
@@ -312,7 +314,7 @@ class LogicalCpu:
                 self.hss_count -= 1
         tp = self.tp
         if tp.enabled:
-            tp.frame_pop(self.sim.now, self.index, kind.value, frame.label,
+            tp.frame_pop(self.sim.now, self.index, kind._value_, frame.label,
                          getattr(frame.owner, "name", ""))
         self._after_pop()
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Optional, Tuple
 
 
 class SoftirqVector(enum.IntEnum):
@@ -31,6 +31,11 @@ class SoftirqVector(enum.IntEnum):
     TASKLET = 5
 
 
+#: The vectors in priority order.  The drain loops walk this tuple:
+#: iterating the enum class or hashing its members runs Python-level
+#: enum code on every call.
+_VECTORS = tuple(SoftirqVector)
+
 #: A queued bottom-half: (work_ns, completion_action_or_None).
 WorkItem = Tuple[int, Optional[Callable[[], None]]]
 
@@ -40,8 +45,9 @@ class SoftirqQueue:
 
     def __init__(self, cpu_index: int) -> None:
         self.cpu_index = cpu_index
-        self._queues: Dict[SoftirqVector, Deque[WorkItem]] = {
-            vec: deque() for vec in SoftirqVector}
+        #: One deque per vector, indexed by the vector's value.
+        self._queues: Tuple[Deque[WorkItem], ...] = tuple(
+            deque() for _ in _VECTORS)
         self.raised = 0
         self.processed = 0
         self.total_work_ns = 0
@@ -70,18 +76,16 @@ class SoftirqQueue:
 
     @property
     def pending(self) -> bool:
-        return any(self._queues[vec] for vec in SoftirqVector)
+        return any(self._queues)
 
     def pending_work_ns(self) -> int:
         """Total queued work (drives ksoftirqd wake decisions)."""
-        return sum(w for vec in SoftirqVector
-                   for (w, _a) in self._queues[vec])
+        return sum(w for queue in self._queues for (w, _a) in queue)
 
     def take_next(self) -> Optional[Tuple[SoftirqVector, int,
                                           Optional[Callable[[], None]]]]:
         """Dequeue the next item in vector-priority order."""
-        for vec in SoftirqVector:
-            queue = self._queues[vec]
+        for vec, queue in zip(_VECTORS, self._queues):
             if queue:
                 work, action = queue.popleft()
                 self.processed += 1
@@ -90,5 +94,6 @@ class SoftirqQueue:
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        counts = {vec.name: len(q) for vec, q in self._queues.items() if q}
+        counts = {vec.name: len(q)
+                  for vec, q in zip(_VECTORS, self._queues) if q}
         return f"<SoftirqQueue cpu{self.cpu_index} {counts}>"

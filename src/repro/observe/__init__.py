@@ -21,12 +21,11 @@ simulated time, consume RNG draws, or otherwise perturb the run (the
 golden byte-identity sweep enforces this for every scenario).
 """
 
-from repro.observe.tracepoints import TP, TraceEvent, Tracepoints
+from repro.observe.tracepoints import TP, Tracepoints
 from repro.observe.tracer import SimTracer, TraceConfig
 
 __all__ = [
     "TP",
-    "TraceEvent",
     "Tracepoints",
     "SimTracer",
     "TraceConfig",

@@ -81,7 +81,7 @@ class _CpuState:
         self.stack: List[Tuple[str, str, str, bool]] = []
         self.irqoff = False
         self.softirq_depth = 0
-        #: (time, ctx) snapshots; ctx shapes are documented in _ctx().
+        #: (time, ctx) snapshots; ctx shapes are built in _snap().
         self.timeline: List[Tuple[int, Tuple]] = [(0, ("idle", False, False))]
 
 
@@ -109,32 +109,32 @@ class AttributionEngine(TraceListener):
     # Tracepoint listener callbacks (online state maintenance)
     # ==================================================================
     def _snap(self, now: int, cs: _CpuState) -> None:
-        ctx = self._ctx(cs)
+        """Stamp *cs*'s context (as :meth:`_classify` reads it) at *now*."""
+        stack = cs.stack
+        if not stack:
+            ctx: Tuple = ("idle", cs.irqoff, cs.softirq_depth > 0)
+        else:
+            kind, owner, lock_name, lock_bkl = stack[-1]
+            if kind == "task":
+                ctx = ("task", owner, cs.irqoff,
+                       self._preempt.get(owner, False),
+                       self._in_kernel.get(owner, False),
+                       owner != "" and owner == self._bkl_owner,
+                       cs.softirq_depth > 0)
+            elif kind == "spin":
+                ctx = ("spin", owner, lock_name, lock_bkl, cs.irqoff)
+            elif kind == "hardirq":
+                # Carry the owning descriptor's name so injected storm
+                # lines (named "fault:*") land in the fault bucket.
+                ctx = ("hardirq", owner.startswith(FAULT_PREFIX))
+            else:
+                ctx = (kind,)  # "softirq" | "switch"
         tl = cs.timeline
         last = tl[-1]
         if last[0] == now:
             tl[-1] = (now, ctx)
         elif last[1] != ctx:
             tl.append((now, ctx))
-
-    def _ctx(self, cs: _CpuState) -> Tuple:
-        stack = cs.stack
-        if not stack:
-            return ("idle", cs.irqoff, cs.softirq_depth > 0)
-        kind, owner, lock_name, lock_bkl = stack[-1]
-        if kind == "task":
-            return ("task", owner, cs.irqoff,
-                    self._preempt.get(owner, False),
-                    self._in_kernel.get(owner, False),
-                    owner != "" and owner == self._bkl_owner,
-                    cs.softirq_depth > 0)
-        if kind == "spin":
-            return ("spin", owner, lock_name, lock_bkl, cs.irqoff)
-        if kind == "hardirq":
-            # Carry the owning descriptor's name so injected storm
-            # lines (named "fault:*") land in the fault bucket.
-            return ("hardirq", owner.startswith(FAULT_PREFIX))
-        return (kind,)  # "softirq" | "switch"
 
     # -- frames ---------------------------------------------------------
     def frame_push(self, now: int, cpu: int, kind: str, label: str,

@@ -12,7 +12,10 @@ max-window series (microseconds) for each -- the same maxima
 the window that set the max is visible.
 
 Timestamps are microseconds (float), converted from simulated
-nanoseconds.  The builder is ring-wrap tolerant: a ``frame_pop`` whose
+nanoseconds.  The builder reads the rings' ``(time, cpu, code, args)``
+rows as they are, so its tables are keyed by the plain-int code: a
+dict keyed by :class:`TP` members hashes by identity and would miss
+an int.  The builder is ring-wrap tolerant: a ``frame_pop`` whose
 ``B`` was evicted gets a synthesized ``B`` at the window start, and
 frames still open at the end are closed at the last event time, so the
 export never produces unbalanced B/E pairs.
@@ -21,24 +24,25 @@ export never produces unbalanced B/E pairs.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Deque, Dict, List
 
-from repro.observe.tracepoints import TP, Tracepoints
+from repro.observe.tracepoints import TP, Row, Tracepoints
 
 _PID = 1
 
-#: Instant-event rendering: tp -> (name prefix, args formatter).
+#: Instant-event rendering: code -> (name, args) formatter.
 _INSTANTS = {
-    TP.SCHED_WAKE: lambda a: ("wake " + a[0], {"from_cpu": a[1]}),
-    TP.IRQ_RAISE: lambda a: (f"irq{a[0]} raise", {"name": a[1]}),
-    TP.IRQ_PEND: lambda a: (f"irq{a[0]} pend", {"name": a[1]}),
-    TP.SOFTIRQ_RAISE: lambda a: (f"softirq{a[0]} raise", {}),
-    TP.TIMER_TICK: lambda a: ("tick", {}),
-    TP.SHIELD_UPDATE: lambda a: ("shield update", {
+    int(TP.SCHED_WAKE): lambda a: ("wake " + a[0], {"from_cpu": a[1]}),
+    int(TP.IRQ_RAISE): lambda a: (f"irq{a[0]} raise", {"name": a[1]}),
+    int(TP.IRQ_PEND): lambda a: (f"irq{a[0]} pend", {"name": a[1]}),
+    int(TP.SOFTIRQ_RAISE): lambda a: (f"softirq{a[0]} raise", {}),
+    int(TP.TIMER_TICK): lambda a: ("tick", {}),
+    int(TP.SHIELD_UPDATE): lambda a: ("shield update", {
         "procs": a[0], "irqs": a[1], "ltmr": a[2]}),
-    TP.LATENCY_SAMPLE: lambda a: ("sample " + a[0], {"latency_ns": a[1]}),
-    TP.TASK_EXIT: lambda a: ("exit " + a[0], {}),
-    TP.FAULT_INJECT: lambda a: ("fault " + a[0], {"detail": a[1]}),
+    int(TP.LATENCY_SAMPLE): lambda a: ("sample " + a[0],
+                                       {"latency_ns": a[1]}),
+    int(TP.TASK_EXIT): lambda a: ("exit " + a[0], {}),
+    int(TP.FAULT_INJECT): lambda a: (a[0], {"detail": a[1]}),
 }
 
 
@@ -50,17 +54,17 @@ def _frame_name(kind: str, label: str, owner: str) -> str:
     return kind
 
 
-#: Counter series: state tracepoints -> (track, on?).  BKL tracking
+#: Counter series: state tracepoint code -> (track, on?).  BKL tracking
 #: keys off the ``is_bkl`` flag instead (lock events carry it).
 _COUNTER_TOGGLES = {
-    TP.IRQS_OFF: ("irq-off", True),
-    TP.IRQS_ON: ("irq-off", False),
-    TP.PREEMPT_OFF: ("preempt-off", True),
-    TP.PREEMPT_ON: ("preempt-off", False),
+    int(TP.IRQS_OFF): ("irq-off", True),
+    int(TP.IRQS_ON): ("irq-off", False),
+    int(TP.PREEMPT_OFF): ("preempt-off", True),
+    int(TP.PREEMPT_ON): ("preempt-off", False),
 }
 
 
-def _counter_events(cpu: int, snapshot: List[Any]) -> List[Dict[str, Any]]:
+def _counter_events(cpu: int, ring: Deque[Row]) -> List[Dict[str, Any]]:
     """Per-CPU accounting counter tracks (``ph: C``) for one ring.
 
     Ring-wrap tolerant the same way the duration builder is: an ON
@@ -70,7 +74,7 @@ def _counter_events(cpu: int, snapshot: List[Any]) -> List[Dict[str, Any]]:
     stay exact even when the acquire was evicted.
     """
     events: List[Dict[str, Any]] = []
-    window_start = snapshot[0].time
+    window_start = ring[0][0]
     since: Dict[str, int] = {}
     max_ns: Dict[str, int] = {"irq-off": 0, "preempt-off": 0, "bkl": 0}
 
@@ -97,16 +101,15 @@ def _counter_events(cpu: int, snapshot: List[Any]) -> List[Dict[str, Any]]:
     for track in max_ns:
         emit(window_start, track, "on", 0)
         emit(window_start, f"max {track} (us)", "us", 0.0)
-    for ev in snapshot:
-        code = ev.tp
+    for time, _cpu, code, args in ring:
         state = _COUNTER_TOGGLES.get(code)
         if state is not None:
-            toggle(ev.time, state[0], state[1])
-        elif code is TP.LOCK_ACQUIRE and ev.args[2]:
-            toggle(ev.time, "bkl", True)
-        elif code is TP.LOCK_RELEASE and ev.args[3]:
-            toggle(ev.time, "bkl", False, window_ns=int(ev.args[2]))
-    last = snapshot[-1].time
+            toggle(time, state[0], state[1])
+        elif code == TP.LOCK_ACQUIRE and args[2]:
+            toggle(time, "bkl", True)
+        elif code == TP.LOCK_RELEASE and args[3]:
+            toggle(time, "bkl", False, window_ns=int(args[2]))
+    last = ring[-1][0]
     for track in [t for t in since]:
         toggle(last, track, False)
     return events
@@ -127,24 +130,22 @@ def build_trace_events(tp: Tracepoints) -> List[Dict[str, Any]]:
                        "args": {"sort_index": cpu}})
 
     for cpu, ring in enumerate(tp.rings):
-        snapshot = ring.snapshot()
-        if not snapshot:
+        if not ring:
             continue
-        window_start_us = snapshot[0].time / 1000.0
-        last_us = snapshot[-1].time / 1000.0
+        window_start_us = ring[0][0] / 1000.0
+        last_us = ring[-1][0] / 1000.0
         open_depth = 0
-        for ev in snapshot:
-            ts = ev.time / 1000.0
-            code = ev.tp
-            if code is TP.FRAME_PUSH:
-                kind, label, owner = ev.args
+        for time, _cpu, code, args in ring:
+            ts = time / 1000.0
+            if code == TP.FRAME_PUSH:
+                kind, label, owner = args
                 events.append({"ph": "B", "pid": _PID, "tid": cpu,
                                "ts": ts,
                                "name": _frame_name(kind, label, owner),
                                "cat": kind})
                 open_depth += 1
-            elif code is TP.FRAME_POP:
-                kind, label, owner = ev.args
+            elif code == TP.FRAME_POP:
+                kind, label, owner = args
                 if open_depth == 0:
                     # The matching B was evicted by ring wrap --
                     # synthesize one at the window start.
@@ -159,16 +160,16 @@ def build_trace_events(tp: Tracepoints) -> List[Dict[str, Any]]:
             else:
                 fmt = _INSTANTS.get(code)
                 if fmt is not None:
-                    name, args = fmt(ev.args)
+                    name, fields = fmt(args)
                     events.append({"ph": "i", "pid": _PID, "tid": cpu,
                                    "ts": ts, "s": "t", "name": name,
                                    "cat": TP(code).name.lower(),
-                                   "args": args})
+                                   "args": fields})
         # Close frames still open at the end of the window.
         for _ in range(open_depth):
             events.append({"ph": "E", "pid": _PID, "tid": cpu,
                            "ts": last_us})
-        events.extend(_counter_events(cpu, snapshot))
+        events.extend(_counter_events(cpu, ring))
     return events
 
 

@@ -214,8 +214,10 @@ def recording_from_run(tracer: Any, spec: Any,
     and kernel description).
     """
     tp = tracer.tp
-    events = [[e.time, e.cpu, int(e.tp), list(e.args)]
-              for e in tp.events()]
+    # Body rows are JSON lists: a body holding tuples would not equal
+    # its own loaded copy, and the diff engine compares the two.
+    events = [[time, cpu, code, list(args)]
+              for time, cpu, code, args in tp.events()]
     samples = [[int(end), int(latency), _fold_residue(latency, breakdown)]
                for end, latency, breakdown in tracer.engine.samples]
     faults = None

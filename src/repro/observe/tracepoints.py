@@ -10,10 +10,16 @@ fixed argument shape; call sites guard with a single attribute check::
 
 so a disabled registry costs two attribute loads and a branch per
 site -- no tuples, no strings, no allocation.  When enabled, each emit
-appends one slotted :class:`TraceEvent` to the emitting CPU's
-fixed-capacity :class:`TraceRing`, bumps the per-event hit counter,
+appends one row ``(time, cpu, code, args)`` -- a tuple of ints and
+strings with the plain-int tracepoint code -- to the emitting CPU's
+``deque(maxlen=capacity)`` ring, bumps the per-event hit counter,
 updates the O(1) per-CPU accounting (:mod:`repro.observe.accounting`)
-and forwards to the optional listener (the attribution engine).
+and forwards to the optional listener (the attribution engine).  Rows
+are the recording's rows in tuple form: :meth:`Tracepoints.events`,
+the recording and the Perfetto export read them as they are.  The
+cyclic collector untracks such a tuple once it has visited it (args
+tuple first, then the row), so a long traced run leaves no per-event
+objects for each later collection to scan.
 
 The registry is observational by contract: it never schedules events,
 draws randomness, or mutates kernel/hardware state.
@@ -22,7 +28,9 @@ draws randomness, or mutates kernel/hardware state.
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional
+from collections import deque
+from operator import itemgetter
+from typing import Any, Deque, List, Optional, Tuple
 
 from repro.observe.accounting import CpuAccounting
 
@@ -67,58 +75,20 @@ class TP(enum.IntEnum):
 N_TRACEPOINTS = len(TP)
 
 
-class TraceEvent:
-    """One slotted tracepoint record."""
+#: One buffered tracepoint: ``(time, cpu, code, args)``.
+Row = Tuple[int, int, int, Tuple[Any, ...]]
 
-    __slots__ = ("time", "cpu", "tp", "args")
+#: Plain-int codes for the emit paths, in :class:`TP` order.  Rows
+#: hold these, never the members: a tuple holding an enum member stays
+#: tracked by the cyclic collector for the whole run.
+(_SCHED_SWITCH, _SCHED_DESCHED, _SCHED_WAKE, _TASK_EXIT, _IRQ_RAISE,
+ _IRQ_PEND, _IRQ_ENTRY, _IRQ_EXIT, _SOFTIRQ_RAISE, _SOFTIRQ_ENTRY,
+ _SOFTIRQ_EXIT, _PREEMPT_OFF, _PREEMPT_ON, _IRQS_OFF, _IRQS_ON,
+ _LOCK_ACQUIRE, _LOCK_CONTENDED, _LOCK_RELEASE, _SHIELD_UPDATE,
+ _TIMER_TICK, _SYSCALL_ENTRY, _SYSCALL_EXIT, _FRAME_PUSH, _FRAME_POP,
+ _LATENCY_SAMPLE, _TASK_CREATE, _FAULT_INJECT) = map(int, TP)
 
-    def __init__(self, time: int, cpu: int, tp: TP, args: tuple) -> None:
-        self.time = time
-        self.cpu = cpu
-        self.tp = tp
-        self.args = args
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<{TP(self.tp).name.lower()} t={self.time} "
-                f"cpu{self.cpu} {self.args}>")
-
-
-class TraceRing:
-    """Fixed-capacity overwrite-oldest ring of :class:`TraceEvent`."""
-
-    __slots__ = ("capacity", "_buf", "_next", "dropped")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("trace ring capacity must be positive")
-        self.capacity = capacity
-        self._buf: List[Optional[TraceEvent]] = []
-        self._next = 0
-        self.dropped = 0
-
-    def append(self, event: TraceEvent) -> None:
-        buf = self._buf
-        if len(buf) < self.capacity:
-            buf.append(event)
-            return
-        self._buf[self._next] = event
-        self._next = (self._next + 1) % self.capacity
-        self.dropped += 1
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    def snapshot(self) -> List[TraceEvent]:
-        """Buffered events, oldest first."""
-        buf = self._buf
-        if len(buf) < self.capacity or self._next == 0:
-            return list(buf)
-        return buf[self._next:] + buf[:self._next]
-
-    def clear(self) -> None:
-        self._buf = []
-        self._next = 0
-        self.dropped = 0
+_TIME_THEN_CPU = itemgetter(0, 1)
 
 
 class TraceListener:
@@ -175,7 +145,7 @@ class Tracepoints:
     def __init__(self, capacity: int = 65536) -> None:
         self.enabled = False
         self.capacity = capacity
-        self.rings: List[TraceRing] = []
+        self.rings: List[Deque[Row]] = []
         self.accounting = CpuAccounting(0)
         self.hits = [0] * N_TRACEPOINTS
         self.listener: Optional[TraceListener] = None
@@ -185,8 +155,12 @@ class Tracepoints:
     # ------------------------------------------------------------------
     def configure(self, ncpus: int) -> None:
         """Size per-CPU state; called by the machine at construction."""
-        self.rings = [TraceRing(self.capacity) for _ in range(ncpus)]
+        if self.capacity < 1:
+            # deque(maxlen=0) would silently keep nothing.
+            raise ValueError("trace ring capacity must be positive")
+        self.rings = [deque(maxlen=self.capacity) for _ in range(ncpus)]
         self.accounting = CpuAccounting(ncpus)
+        self.hits = [0] * N_TRACEPOINTS
 
     @property
     def ncpus(self) -> int:
@@ -208,19 +182,24 @@ class Tracepoints:
         self.hits = [0] * N_TRACEPOINTS
 
     def dropped(self) -> int:
-        """Total events evicted across all CPU rings."""
-        return sum(ring.dropped for ring in self.rings)
+        """Total events evicted across all CPU rings.
 
-    def events(self) -> List[TraceEvent]:
-        """All buffered events merged across CPUs, time-ordered.
-
-        Ties are broken by CPU index then by intra-ring order (each
-        ring is already monotone), keeping the merge deterministic.
+        Exact because each emit bumps one hit and appends one row, and
+        :meth:`configure` and :meth:`clear` reset both together.
         """
-        merged: List[TraceEvent] = []
+        return sum(self.hits) - sum(len(ring) for ring in self.rings)
+
+    def events(self) -> List[Row]:
+        """All buffered rows merged across CPUs, time-ordered.
+
+        The sort is stable, so ties keep CPU index then intra-ring
+        order (each ring is already monotone): the merge is
+        deterministic.
+        """
+        merged: List[Row] = []
         for ring in self.rings:
-            merged.extend(ring.snapshot())
-        merged.sort(key=lambda e: (e.time, e.cpu))
+            merged.extend(ring)
+        merged.sort(key=_TIME_THEN_CPU)
         return merged
 
     def hit_counts(self) -> dict:
@@ -238,9 +217,8 @@ class Tracepoints:
     # Emission (one method per tracepoint; call only when enabled)
     # ------------------------------------------------------------------
     def sched_switch(self, now: int, cpu: int, task: str) -> None:
-        self.hits[TP.SCHED_SWITCH] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.SCHED_SWITCH, (task,)))
+        self.hits[_SCHED_SWITCH] += 1
+        self.rings[cpu].append((now, cpu, _SCHED_SWITCH, (task,)))
         self.accounting.cpus[cpu].switches += 1
         lis = self.listener
         if lis is not None:
@@ -248,48 +226,44 @@ class Tracepoints:
 
     def sched_desched(self, now: int, cpu: int, task: str,
                       runnable: bool, target: int) -> None:
-        self.hits[TP.SCHED_DESCHED] += 1
+        self.hits[_SCHED_DESCHED] += 1
         self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.SCHED_DESCHED, (task, runnable, target)))
+            (now, cpu, _SCHED_DESCHED, (task, runnable, target)))
         lis = self.listener
         if lis is not None:
             lis.sched_desched(now, cpu, task, runnable, target)
 
     def sched_wake(self, now: int, cpu: int, task: str,
                    from_cpu: int) -> None:
-        self.hits[TP.SCHED_WAKE] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.SCHED_WAKE, (task, from_cpu)))
+        self.hits[_SCHED_WAKE] += 1
+        self.rings[cpu].append((now, cpu, _SCHED_WAKE, (task, from_cpu)))
         self.accounting.cpus[cpu].wakes += 1
         lis = self.listener
         if lis is not None:
             lis.sched_wake(now, cpu, task, from_cpu)
 
     def task_exit(self, now: int, cpu: int, task: str) -> None:
-        self.hits[TP.TASK_EXIT] += 1
-        self.rings[cpu].append(TraceEvent(now, cpu, TP.TASK_EXIT, (task,)))
+        self.hits[_TASK_EXIT] += 1
+        self.rings[cpu].append((now, cpu, _TASK_EXIT, (task,)))
         lis = self.listener
         if lis is not None:
             lis.task_exit(now, cpu, task)
 
     def task_create(self, now: int, cpu: int, task: str) -> None:
-        self.hits[TP.TASK_CREATE] += 1
-        self.rings[cpu].append(TraceEvent(now, cpu, TP.TASK_CREATE, (task,)))
+        self.hits[_TASK_CREATE] += 1
+        self.rings[cpu].append((now, cpu, _TASK_CREATE, (task,)))
 
     def irq_raise(self, now: int, cpu: int, irq: int, name: str) -> None:
-        self.hits[TP.IRQ_RAISE] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.IRQ_RAISE, (irq, name)))
+        self.hits[_IRQ_RAISE] += 1
+        self.rings[cpu].append((now, cpu, _IRQ_RAISE, (irq, name)))
 
     def irq_pend(self, now: int, cpu: int, irq: int, name: str) -> None:
-        self.hits[TP.IRQ_PEND] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.IRQ_PEND, (irq, name)))
+        self.hits[_IRQ_PEND] += 1
+        self.rings[cpu].append((now, cpu, _IRQ_PEND, (irq, name)))
 
     def irq_entry(self, now: int, cpu: int, irq: int, name: str) -> None:
-        self.hits[TP.IRQ_ENTRY] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.IRQ_ENTRY, (irq, name)))
+        self.hits[_IRQ_ENTRY] += 1
+        self.rings[cpu].append((now, cpu, _IRQ_ENTRY, (irq, name)))
         acct = self.accounting.cpus[cpu]
         acct.irqs[irq] = acct.irqs.get(irq, 0) + 1
         self.accounting.irq_names[irq] = name
@@ -298,22 +272,19 @@ class Tracepoints:
             lis.irq_entry(now, cpu, irq, name)
 
     def irq_exit(self, now: int, cpu: int, irq: int, name: str) -> None:
-        self.hits[TP.IRQ_EXIT] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.IRQ_EXIT, (irq, name)))
+        self.hits[_IRQ_EXIT] += 1
+        self.rings[cpu].append((now, cpu, _IRQ_EXIT, (irq, name)))
         lis = self.listener
         if lis is not None:
             lis.irq_exit(now, cpu, irq, name)
 
     def softirq_raise(self, now: int, cpu: int, vec: int) -> None:
-        self.hits[TP.SOFTIRQ_RAISE] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.SOFTIRQ_RAISE, (vec,)))
+        self.hits[_SOFTIRQ_RAISE] += 1
+        self.rings[cpu].append((now, cpu, _SOFTIRQ_RAISE, (vec,)))
 
     def softirq_entry(self, now: int, cpu: int, vec: int) -> None:
-        self.hits[TP.SOFTIRQ_ENTRY] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.SOFTIRQ_ENTRY, (vec,)))
+        self.hits[_SOFTIRQ_ENTRY] += 1
+        self.rings[cpu].append((now, cpu, _SOFTIRQ_ENTRY, (vec,)))
         acct = self.accounting.cpus[cpu]
         acct.softirqs[vec] = acct.softirqs.get(vec, 0) + 1
         lis = self.listener
@@ -321,26 +292,23 @@ class Tracepoints:
             lis.softirq_entry(now, cpu, vec)
 
     def softirq_exit(self, now: int, cpu: int, vec: int) -> None:
-        self.hits[TP.SOFTIRQ_EXIT] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.SOFTIRQ_EXIT, (vec,)))
+        self.hits[_SOFTIRQ_EXIT] += 1
+        self.rings[cpu].append((now, cpu, _SOFTIRQ_EXIT, (vec,)))
         lis = self.listener
         if lis is not None:
             lis.softirq_exit(now, cpu, vec)
 
     def preempt_off(self, now: int, cpu: int, task: str) -> None:
-        self.hits[TP.PREEMPT_OFF] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.PREEMPT_OFF, (task,)))
+        self.hits[_PREEMPT_OFF] += 1
+        self.rings[cpu].append((now, cpu, _PREEMPT_OFF, (task,)))
         self.accounting.cpus[cpu].preempt_off_since = now
         lis = self.listener
         if lis is not None:
             lis.preempt_off(now, cpu, task)
 
     def preempt_on(self, now: int, cpu: int, task: str) -> None:
-        self.hits[TP.PREEMPT_ON] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.PREEMPT_ON, (task,)))
+        self.hits[_PREEMPT_ON] += 1
+        self.rings[cpu].append((now, cpu, _PREEMPT_ON, (task,)))
         acct = self.accounting.cpus[cpu]
         since = acct.preempt_off_since
         if since is not None:
@@ -353,16 +321,16 @@ class Tracepoints:
             lis.preempt_on(now, cpu, task)
 
     def irqs_off(self, now: int, cpu: int) -> None:
-        self.hits[TP.IRQS_OFF] += 1
-        self.rings[cpu].append(TraceEvent(now, cpu, TP.IRQS_OFF, ()))
+        self.hits[_IRQS_OFF] += 1
+        self.rings[cpu].append((now, cpu, _IRQS_OFF, ()))
         self.accounting.cpus[cpu].irq_off_since = now
         lis = self.listener
         if lis is not None:
             lis.irqs_off(now, cpu)
 
     def irqs_on(self, now: int, cpu: int) -> None:
-        self.hits[TP.IRQS_ON] += 1
-        self.rings[cpu].append(TraceEvent(now, cpu, TP.IRQS_ON, ()))
+        self.hits[_IRQS_ON] += 1
+        self.rings[cpu].append((now, cpu, _IRQS_ON, ()))
         acct = self.accounting.cpus[cpu]
         since = acct.irq_off_since
         if since is not None:
@@ -376,28 +344,26 @@ class Tracepoints:
 
     def lock_acquire(self, now: int, cpu: int, lock: str, task: str,
                      is_bkl: bool) -> None:
-        self.hits[TP.LOCK_ACQUIRE] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.LOCK_ACQUIRE, (lock, task, is_bkl)))
+        self.hits[_LOCK_ACQUIRE] += 1
+        self.rings[cpu].append((now, cpu, _LOCK_ACQUIRE, (lock, task, is_bkl)))
         lis = self.listener
         if lis is not None:
             lis.lock_acquire(now, cpu, lock, task, is_bkl)
 
     def lock_contended(self, now: int, cpu: int, lock: str, task: str,
                        is_bkl: bool) -> None:
-        self.hits[TP.LOCK_CONTENDED] += 1
+        self.hits[_LOCK_CONTENDED] += 1
         self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.LOCK_CONTENDED, (lock, task, is_bkl)))
+            (now, cpu, _LOCK_CONTENDED, (lock, task, is_bkl)))
         lis = self.listener
         if lis is not None:
             lis.lock_contended(now, cpu, lock, task, is_bkl)
 
     def lock_release(self, now: int, cpu: int, lock: str, task: str,
                      hold_ns: int, is_bkl: bool) -> None:
-        self.hits[TP.LOCK_RELEASE] += 1
+        self.hits[_LOCK_RELEASE] += 1
         self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.LOCK_RELEASE,
-                       (lock, task, hold_ns, is_bkl)))
+            (now, cpu, _LOCK_RELEASE, (lock, task, hold_ns, is_bkl)))
         if is_bkl:
             acct = self.accounting.cpus[cpu]
             if hold_ns > acct.max_bkl_hold_ns:
@@ -408,62 +374,55 @@ class Tracepoints:
 
     def shield_update(self, now: int, cpu: int, procs: int, irqs: int,
                       ltmr: int) -> None:
-        self.hits[TP.SHIELD_UPDATE] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.SHIELD_UPDATE, (procs, irqs, ltmr)))
+        self.hits[_SHIELD_UPDATE] += 1
+        self.rings[cpu].append((now, cpu, _SHIELD_UPDATE, (procs, irqs, ltmr)))
 
     def timer_tick(self, now: int, cpu: int) -> None:
-        self.hits[TP.TIMER_TICK] += 1
-        self.rings[cpu].append(TraceEvent(now, cpu, TP.TIMER_TICK, ()))
+        self.hits[_TIMER_TICK] += 1
+        self.rings[cpu].append((now, cpu, _TIMER_TICK, ()))
         self.accounting.cpus[cpu].ticks += 1
 
     def syscall_entry(self, now: int, cpu: int, task: str,
                       name: str) -> None:
-        self.hits[TP.SYSCALL_ENTRY] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.SYSCALL_ENTRY, (task, name)))
+        self.hits[_SYSCALL_ENTRY] += 1
+        self.rings[cpu].append((now, cpu, _SYSCALL_ENTRY, (task, name)))
         self.accounting.cpus[cpu].syscalls += 1
         lis = self.listener
         if lis is not None:
             lis.syscall_entry(now, cpu, task, name)
 
     def syscall_exit(self, now: int, cpu: int, task: str) -> None:
-        self.hits[TP.SYSCALL_EXIT] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.SYSCALL_EXIT, (task,)))
+        self.hits[_SYSCALL_EXIT] += 1
+        self.rings[cpu].append((now, cpu, _SYSCALL_EXIT, (task,)))
         lis = self.listener
         if lis is not None:
             lis.syscall_exit(now, cpu, task)
 
     def frame_push(self, now: int, cpu: int, kind: str, label: str,
                    owner: str) -> None:
-        self.hits[TP.FRAME_PUSH] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.FRAME_PUSH, (kind, label, owner)))
+        self.hits[_FRAME_PUSH] += 1
+        self.rings[cpu].append((now, cpu, _FRAME_PUSH, (kind, label, owner)))
         lis = self.listener
         if lis is not None:
             lis.frame_push(now, cpu, kind, label, owner)
 
     def frame_pop(self, now: int, cpu: int, kind: str, label: str,
                   owner: str) -> None:
-        self.hits[TP.FRAME_POP] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.FRAME_POP, (kind, label, owner)))
+        self.hits[_FRAME_POP] += 1
+        self.rings[cpu].append((now, cpu, _FRAME_POP, (kind, label, owner)))
         lis = self.listener
         if lis is not None:
             lis.frame_pop(now, cpu, kind, label, owner)
 
     def latency_sample(self, now: int, cpu: int, task: str,
                        latency_ns: int) -> None:
-        self.hits[TP.LATENCY_SAMPLE] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.LATENCY_SAMPLE, (task, latency_ns)))
+        self.hits[_LATENCY_SAMPLE] += 1
+        self.rings[cpu].append((now, cpu, _LATENCY_SAMPLE, (task, latency_ns)))
 
     def fault_inject(self, now: int, cpu: int, injector: str,
                      detail: str) -> None:
-        self.hits[TP.FAULT_INJECT] += 1
-        self.rings[cpu].append(
-            TraceEvent(now, cpu, TP.FAULT_INJECT, (injector, detail)))
+        self.hits[_FAULT_INJECT] += 1
+        self.rings[cpu].append((now, cpu, _FAULT_INJECT, (injector, detail)))
         lis = self.listener
         if lis is not None:
             lis.fault_inject(now, cpu, injector, detail)

@@ -40,6 +40,12 @@ class TraceConfig:
     #: simdiff (:mod:`repro.observe.diff`).
     record: bool = False
 
+    def __post_init__(self) -> None:
+        # Refused here, before any bench is built for the run.
+        if self.capacity < 1:
+            raise ValueError(f"trace capacity must be >= 1, "
+                             f"got {self.capacity!r}")
+
 
 class SimTracer:
     """Per-run tracing session over one :class:`Bench`."""

@@ -30,3 +30,20 @@ class TestCli:
     def test_figure_tables_cover_all_seven(self):
         assert set(DETERMINISM) == {"fig1", "fig2", "fig3", "fig4"}
         assert set(LATENCY) == {"fig5", "fig6", "fig7"}
+
+
+class TestTraceCapacity:
+    @pytest.mark.parametrize("argv", [
+        ["trace", "fig6", "--samples", "50"],
+        ["diff", "record", "fig6", "--samples", "50", "--out", "x.rtrace"],
+        ["diff", "twin", "storm-fig6", "--samples", "50"],
+    ], ids=["trace", "diff-record", "diff-twin"])
+    @pytest.mark.parametrize("capacity", ["0", "-3"])
+    def test_capacity_below_one_exits_2_naming_the_flag(
+            self, argv, capacity, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--capacity", capacity])
+        assert exc.value.code == 2
+        assert "argument --capacity:" in capsys.readouterr().err
+        assert not (tmp_path / "x.rtrace").exists()

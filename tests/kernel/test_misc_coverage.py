@@ -6,6 +6,7 @@ from repro.configs.kernels import redhawk_1_4, vanilla_2_4_21
 from repro.core.affinity import CpuMask
 from repro.kernel import ops as op
 from repro.kernel.kernel import Kernel
+from repro.observe.tracepoints import TP
 from repro.sim.errors import KernelPanic
 from tests.conftest import boot_kernel
 
@@ -40,7 +41,7 @@ class TestTracing:
         assert hits.get("irq_raise")
         assert hits.get("irq_entry")
         assert hits.get("frame_push")
-        names = {e.tp.name for e in sim.tp.events()}
+        names = {TP(row[2]).name for row in sim.tp.events()}
         assert {"IRQ_RAISE", "IRQ_ENTRY", "IRQ_EXIT"} <= names
 
     def test_tracepoints_off_by_default_and_free(self, sim, machine):

@@ -1,5 +1,6 @@
 """Chrome trace-event export: balanced frames, instants, wrap repair."""
 
+import hashlib
 import json
 
 from repro.experiments.scenario import run_scenario, scenario
@@ -135,3 +136,21 @@ class TestScenarioExport:
         for tid in sorted({e["tid"] for e in events}):
             assert (len(_by_phase(events, "B", tid))
                     == len(_by_phase(events, "E", tid)))
+
+    def test_fig6_export_bytes_are_pinned(self, tmp_path):
+        # The export's metadata is only scenario and seed, so its bytes
+        # are stable enough to pin.
+        out = tmp_path / "fig6.trace.json"
+        spec = scenario("fig6").configured(samples=300, seed=1)
+        run_scenario(spec, trace=TraceConfig(out=str(out)))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a728435fcd0e219d0aff3cd5089370d6b3f27174d71d7b1017d2ab42cb0fff4b")
+
+    def test_fault_injections_are_named_by_their_key(self, tmp_path):
+        out = tmp_path / "storm.trace.json"
+        spec = scenario("storm-fig6").configured(samples=300, seed=1)
+        run_scenario(spec, trace=TraceConfig(out=str(out)))
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "i"}
+        assert "fault:irq-storm#0" in names
+        assert not [n for n in names if n.startswith("fault fault:")]

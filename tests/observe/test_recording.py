@@ -196,6 +196,14 @@ class TestRingWrap:
         assert task[0].start == 1_000
         assert task[0].end == 3_000
 
+    def test_wrapped_ring_keeps_the_newest_rows(self):
+        # Pinned counts: each CPU's 64-row ring keeps its newest rows,
+        # and every evicted row counts as dropped.
+        spec = scenario("fig6").configured(samples=200, seed=3)
+        rec, _result = record_scenario(spec, capacity=64)
+        assert len(rec.events) == 128
+        assert rec.dropped == 27_160
+
     def test_identical_wrapped_runs_diff_identical(self):
         rec_a, _ = record_scenario(_spec(samples=60), capacity=256)
         rec_b, _ = record_scenario(_spec(samples=60), capacity=256)

@@ -1,37 +1,71 @@
 """Unit tests for the typed tracepoint registry and its rings."""
 
+import gc
+
 import pytest
 
+from repro.observe import tracepoints
 from repro.observe.tracepoints import (
     TP,
-    TraceEvent,
     TraceListener,
-    TraceRing,
     Tracepoints,
 )
+from repro.observe.tracer import TraceConfig
 
 
-class TestTraceRing:
+class TestRings:
+    def _tp(self, capacity):
+        tp = Tracepoints(capacity=capacity)
+        tp.configure(1)
+        tp.enable()
+        return tp
+
     def test_wraps_oldest_first(self):
-        ring = TraceRing(capacity=3)
+        tp = self._tp(capacity=3)
         for t in range(5):
-            ring.append(TraceEvent(t, 0, TP.TIMER_TICK, ()))
-        assert len(ring) == 3
-        assert ring.dropped == 2
-        assert [e.time for e in ring.snapshot()] == [2, 3, 4]
+            tp.timer_tick(t, 0)
+        assert len(tp.rings[0]) == 3
+        assert tp.dropped() == 2
+        assert [row[0] for row in tp.events()] == [2, 3, 4]
 
     def test_clear_resets(self):
-        ring = TraceRing(capacity=2)
+        tp = self._tp(capacity=2)
         for t in range(4):
-            ring.append(TraceEvent(t, 0, TP.TIMER_TICK, ()))
-        ring.clear()
-        assert len(ring) == 0
-        assert ring.dropped == 0
-        assert ring.snapshot() == []
+            tp.timer_tick(t, 0)
+        tp.clear()
+        assert len(tp.rings[0]) == 0
+        assert tp.dropped() == 0
+        assert tp.events() == []
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
-            TraceRing(0)
+            Tracepoints(capacity=0).configure(1)
+
+    def test_trace_config_refuses_capacity_below_one(self):
+        for capacity in (0, -1):
+            with pytest.raises(ValueError, match="capacity"):
+                TraceConfig(capacity=capacity)
+
+    def test_rows_are_plain_tuples(self):
+        # Rows hold the plain-int code, never a TP member, so nothing
+        # in a row keeps it tracked by the cyclic collector.
+        tp = self._tp(capacity=4)
+        tp.frame_push(7, 0, "task", "rt", "rt")
+        (row,) = tp.events()
+        assert row == (7, 0, 22, ("task", "rt", "rt"))
+        assert type(row[2]) is int
+        assert TP(row[2]) is TP.FRAME_PUSH
+        # A collection untracks a tuple whose items are all untracked;
+        # the row's args tuple may be visited after the row itself, so
+        # the row goes on the next pass.
+        gc.collect()
+        gc.collect()
+        assert not gc.is_tracked(row)
+
+    def test_emit_codes_follow_the_catalogue(self):
+        for member in TP:
+            code = getattr(tracepoints, "_" + member.name)
+            assert code == member and type(code) is int
 
 
 class TestTracepoints:
@@ -67,7 +101,7 @@ class TestTracepoints:
         tp.timer_tick(30, 1)
         tp.timer_tick(10, 0)
         tp.timer_tick(30, 0)
-        ordered = [(e.time, e.cpu) for e in tp.events()]
+        ordered = [(row[0], row[1]) for row in tp.events()]
         assert ordered == [(10, 0), (30, 0), (30, 1)]
 
     def test_accounting_updates_are_o1_per_emit(self):
