@@ -12,10 +12,11 @@ resumes the frame underneath.  Frames model:
 * ``SWITCH``  -- context-switch overhead.
 
 Wall-clock duration of a frame is ``work / speed`` where *speed* is the
-product of hyperthread contention and memory-bus contention factors
-supplied by the machine.  When those factors change (a sibling logical
-CPU goes busy or idle, the bus contention epoch rolls over) the machine
-calls :meth:`LogicalCpu.retime` and the in-flight frame is re-priced.
+product of the core's hyperthread contention factor and the memory
+bus's contention factor, taken when the frame starts.  When those
+factors change (a sibling logical CPU goes busy or idle, the bus
+contention epoch rolls over) the machine calls
+:meth:`LogicalCpu.retime` and the in-flight frame is re-priced.
 
 The CPU layer knows nothing about scheduling policy: the kernel
 installs callbacks for frame completion, interrupt delivery and
@@ -53,10 +54,6 @@ class FrameKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-#: Frames whose presence means the CPU is "busy" for contention purposes.
-_BUSY_KINDS = frozenset(FrameKind)
-
-
 class ExecFrame:
     """One unit of preemptible execution.
 
@@ -91,7 +88,7 @@ class ExecFrame:
         self.granted = False        # SPIN frames: lock has been handed over
         self.started_at: Optional[int] = None
         self.speed: float = 1.0
-        self._event = None
+        self._event: Optional[int] = None   # completion's engine key
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Frame {self.kind.value} {self.label!r} rem={self.remaining}>"
@@ -214,7 +211,21 @@ class LogicalCpu:
                 # Lock was handed over while we were preempted.
                 self._complete_top()
             return
-        speed = self.machine.speed_for(self, frame)
+        # Hyperthread factor (PhysicalCore.speed_factor) times the
+        # memory-bus factor, floored at 0.01: computed here, once per
+        # frame start, the hottest place that needs it.
+        sibling = self.sibling
+        if sibling is None or not sibling.frames or not sibling.online:
+            ht = 1.0
+        else:
+            ht = self.core._current_factor
+        mem = self.machine.memory
+        mf = mem._factors.get(self.index)
+        if mf is None:
+            mf = mem.speed_factor(self)
+        speed = ht * mf
+        if speed < 0.01:
+            speed = 0.01
         frame.speed = speed
         remaining = frame.remaining
         assert remaining is not None
@@ -231,7 +242,7 @@ class LogicalCpu:
             if duration != q:
                 duration += 1
         sim = self.sim
-        frame._event = sim.at(sim.now + duration, self._on_frame_event)
+        frame._event = sim.schedule(sim.now + duration, self._on_frame_event)
 
     def _pause_top(self) -> None:
         frame = self.frames[-1]
@@ -241,7 +252,7 @@ class LogicalCpu:
             frame.remaining = rem if rem > 0.0 else 0.0
         frame.started_at = None
         if frame._event is not None:
-            frame._event.cancel()
+            self.sim.cancel(frame._event)
             frame._event = None
 
     def _on_frame_event(self) -> None:
@@ -285,7 +296,7 @@ class LogicalCpu:
         self.frames_run += 1
         frame.started_at = None
         if frame._event is not None:
-            frame._event.cancel()
+            self.sim.cancel(frame._event)
             frame._event = None
         tp = self.tp
         if tp.enabled:

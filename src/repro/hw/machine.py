@@ -4,8 +4,10 @@ A :class:`Machine` is built from a :class:`MachineSpec` describing the
 paper's testbeds (dual Pentium 4 Xeon with hyperthreading for the
 determinism experiments, dual Pentium 3 Xeon for the interrupt-response
 experiments).  It owns the logical CPUs, physical cores, memory bus,
-APIC and attached devices, and is the single source of truth for the
-speed factors applied to executing frames.
+APIC and attached devices, and keeps each core's hyperthread
+contention factor current; a CPU multiplies it with the memory bus's
+factor when a frame starts (:meth:`LogicalCpu._start_top
+<repro.hw.cpu.LogicalCpu._start_top>`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Dict, List, TYPE_CHECKING
 
 from repro.hw.apic import Apic, IrqDescriptor
 from repro.hw.core import PhysicalCore
-from repro.hw.cpu import ExecFrame, LogicalCpu
+from repro.hw.cpu import LogicalCpu
 from repro.hw.memory import MemoryBus
 from repro.hw.tsc import Tsc
 
@@ -124,21 +126,6 @@ class Machine:
     # ------------------------------------------------------------------
     # Contention plumbing
     # ------------------------------------------------------------------
-    def speed_for(self, cpu: LogicalCpu, frame: ExecFrame) -> float:
-        """Composite speed multiplier for a frame starting now."""
-        # Inlined core.speed_factor: this runs on every frame start.
-        sibling = cpu.sibling
-        if sibling is None or not sibling.frames or not sibling.online:
-            ht = 1.0
-        else:
-            ht = cpu.core._current_factor
-        mem = self.memory
-        mf = mem._factors.get(cpu.index)
-        if mf is None:
-            mf = mem.speed_factor(cpu)
-        speed = ht * mf
-        return speed if speed > 0.01 else 0.01
-
     def notify_busy_changed(self, cpu: LogicalCpu) -> None:
         """A CPU went busy or idle; update its hyperthread sibling."""
         sibling = cpu.sibling

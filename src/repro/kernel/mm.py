@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernel.timing import bounded_int
 from repro.sim.simtime import MSEC, USEC
 
 
@@ -47,7 +48,7 @@ class FaultModel:
 
     def sample_fault_cost(self, rng: np.random.Generator) -> int:
         """Kernel time to service one minor fault."""
-        return int(rng.integers(self.minor_cost_lo, self.minor_cost_hi + 1))
+        return bounded_int(rng, self.minor_cost_lo, self.minor_cost_hi)
 
     def is_major(self, rng: np.random.Generator) -> bool:
         return bool(rng.random() < self.major_fraction)

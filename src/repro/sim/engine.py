@@ -4,8 +4,9 @@
 registry and the typed tracepoints (``sim.tp``).  Hardware and kernel
 objects schedule zero-argument callbacks at absolute or relative times
 and may cancel them through the returned
-:class:`~repro.sim.events.EventHandle`, or install recurring callbacks
-via :meth:`Simulator.periodic`.
+:class:`~repro.sim.events.EventHandle` (or the bare key of
+:meth:`Simulator.schedule`), or install recurring callbacks via
+:meth:`Simulator.periodic`.
 
 The engine is intentionally minimal: all *semantics* (preemption,
 interrupts, locking) live in the hardware/kernel layers.  Keeping the
@@ -27,6 +28,13 @@ Hot-path design (the perf suite in ``benchmarks/perf`` tracks this):
   The paper's machines keep a handful of such timers pending (the
   per-CPU tick, RTC, RCIM), so a dedicated timer structure would not
   pay for itself.
+* A CPU's frame completion is a bare key: :meth:`Simulator.schedule`
+  returns it and :meth:`Simulator.cancel` takes it back, so the
+  per-segment path allocates no handle.  Both are the one place keys
+  are minted (besides a periodic's re-arm) and the one cancel policy;
+  :meth:`Simulator.at`, :meth:`Simulator.after` and
+  :meth:`EventHandle.cancel <repro.sim.events.EventHandle.cancel>` go
+  through them.
 * :meth:`Simulator.run`, :meth:`Simulator.run_until` and
   :meth:`Simulator.step` share one dispatch loop.
 """
@@ -51,6 +59,10 @@ _periodic_fire = PeriodicHandle._fire
 #: far past any simulated horizon), so run() can share run_until()'s
 #: loop.  An int bound keeps the per-event check an int compare.
 _NEVER = 1 << 4096
+
+#: Compact the heap only once it is at least this large; below that
+#: the lazy-deletion overhead is noise and compaction would just churn.
+COMPACT_FLOOR = 64
 
 
 class Simulator:
@@ -80,24 +92,56 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def at(self, when: int, callback: Callable[[], None],
-           label: Optional[str] = None) -> EventHandle:
-        """Schedule *callback* at absolute time *when* (ns)."""
+    def schedule(self, when: int, callback: Callable[[], None],
+                 label: Optional[str] = None) -> int:
+        """Schedule *callback* at absolute time *when* (ns); returns its key.
+
+        The one place a one-shot gets its key: the past-time check, the
+        sequence draw, the liveness entry and the heap push.  The bare
+        key is the receipt callers that never hand an event out keep
+        (a CPU's frame completion); :meth:`cancel` takes it back.
+        *label* only names the event in the error.
+        """
         if when < self.now:
             raise SchedulingInPastError(
                 f"cannot schedule {label or callback} at t={when} < now={self.now}")
         seq = self._seq
         self._seq = seq + 1
         key = (when << SEQ_BITS) | seq
-        # Inlined EventHandle construction: this is the hottest
-        # allocation in the simulator, worth skipping a stack frame.
+        self._handles[key] = callback
+        _heappush(self._heap, key)
+        return key
+
+    def cancel(self, key: int) -> bool:
+        """Cancel the event under *key*.  Returns True if it had not yet fired.
+
+        This is the engine's only cancel policy: drop the key from the
+        liveness table and count a dead heap entry; once dead entries
+        outnumber live ones the heap is compacted.  The compaction test
+        runs every 32nd dead entry -- the bound only loosens by a
+        constant, and mass-cancel storms skip 31 ``len()`` calls out of
+        32.
+        """
+        if self._handles.pop(key, None) is None:
+            return False  # already fired or already cancelled
+        dead = self._dead + 1
+        self._dead = dead
+        if not dead & 31:
+            heap = self._heap
+            if dead > len(heap) // 2 and len(heap) >= COMPACT_FLOOR:
+                self._compact()
+        return True
+
+    def at(self, when: int, callback: Callable[[], None],
+           label: Optional[str] = None) -> EventHandle:
+        """Schedule *callback* at absolute time *when* (ns)."""
+        # Inlined EventHandle construction: the handle only wraps the
+        # key, so skip __init__'s key packing.
         handle = _new_handle(EventHandle)
-        handle.key = key
+        handle.key = self.schedule(when, callback, label)
         handle.callback = callback
         handle.label = label
         handle._owner = self
-        self._handles[key] = callback
-        _heappush(self._heap, key)
         return handle
 
     def after(self, delay: int, callback: Callable[[], None],
@@ -106,18 +150,11 @@ class Simulator:
         if delay < 0:
             raise SchedulingInPastError(
                 f"negative delay {delay} for {label or callback}")
-        # Inlined at(): delay >= 0 already implies when >= now, and
-        # relative scheduling is the kernel/hw layers' hottest idiom.
-        seq = self._seq
-        self._seq = seq + 1
-        key = ((self.now + delay) << SEQ_BITS) | seq
         handle = _new_handle(EventHandle)
-        handle.key = key
+        handle.key = self.schedule(self.now + delay, callback, label)
         handle.callback = callback
         handle.label = label
         handle._owner = self
-        self._handles[key] = callback
-        _heappush(self._heap, key)
         return handle
 
     def periodic(self, period: int, callback: Callable[[], None], *,
@@ -143,16 +180,11 @@ class Simulator:
             first = self.now + first_delay
         else:
             first = self.now + period
-        if first < self.now:
-            raise SchedulingInPastError(
-                f"cannot schedule {label or callback} at t={first} "
-                f"< now={self.now}")
-        seq = self._seq
-        self._seq = seq + 1
-        handle = PeriodicHandle(first, seq, period, callback, label)
+        # Built with a placeholder seq: schedule() draws the real one,
+        # as it does for every one-shot.
+        handle = PeriodicHandle(first, 0, period, callback, label)
         handle._owner = self
-        self._handles[handle.key] = handle._fire_cb
-        _heappush(self._heap, handle.key)
+        handle.key = self.schedule(first, handle._fire_cb, label)
         return handle
 
     # ------------------------------------------------------------------

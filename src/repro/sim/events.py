@@ -14,7 +14,9 @@ it surfaces.  This keeps the classic lazy-deletion contract (O(1)
 cancel, O(log n) schedule) while removing both per-event comparison
 dispatch and per-fire liveness stores from the hot loop.
 
-:class:`EventHandle` is the caller-facing receipt for a one-shot.
+:class:`EventHandle` is the caller-facing receipt for a one-shot; a
+caller that never hands its event out keeps the bare key that
+:meth:`~repro.sim.engine.Simulator.schedule` returns instead.
 :class:`PeriodicHandle` is a recurring event on the same heap: its
 key's table entry is the handle's bound :meth:`PeriodicHandle._fire`,
 which runs the callback and pushes the next period's key, and its
@@ -30,10 +32,6 @@ from typing import Any, Callable, Optional
 #: bits the timestamp.  Key order == (when, seq) lexicographic order.
 SEQ_BITS = 44
 SEQ_MASK = (1 << SEQ_BITS) - 1
-
-#: Compact the heap only once it is at least this large; below that
-#: the lazy-deletion overhead is noise and compaction would just churn.
-COMPACT_FLOOR = 64
 
 _heappush = heapq.heappush
 
@@ -84,24 +82,13 @@ class EventHandle:
     def cancel(self) -> bool:
         """Cancel the event.  Returns True if it had not yet fired.
 
-        This is the engine's only cancel policy: drop the key from the
-        liveness table and count a dead heap entry; once dead entries
-        outnumber live ones the owner compacts its heap.  The
-        compaction test runs every 32nd dead entry -- the bound only
-        loosens by a constant, and mass-cancel storms skip 31 ``len()``
-        calls out of 32.
+        An engine-owned handle cancels through
+        :meth:`~repro.sim.engine.Simulator.cancel`, the engine's one
+        cancel policy.
         """
         owner = self._owner
         if owner is not None:
-            if owner._handles.pop(self.key, None) is None:
-                return False  # already fired or already cancelled
-            dead = owner._dead + 1
-            owner._dead = dead
-            if not dead & 31:
-                heap = owner._heap
-                if dead > len(heap) // 2 and len(heap) >= COMPACT_FLOOR:
-                    owner._compact()
-            return True
+            return owner.cancel(self.key)
         if self.key < 0:
             return False
         self.key = ~self.key

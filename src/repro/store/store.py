@@ -25,6 +25,7 @@ a different matrix is ignored line by line).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 from dataclasses import dataclass
@@ -60,12 +61,19 @@ def write_atomic(path: str, blob: bytes) -> str:
     The pid keeps two processes' tmp names apart and :data:`_TMP_SEQ`
     two threads' (the service scheduler and worker threads may race on
     one hot key), so no two writers share a tmp path: last writer
-    wins, all succeed, no torn bytes.
+    wins, all succeed, no torn bytes.  A write that fails (a full
+    disk, an I/O error, an interrupt) unlinks its tmp and re-raises;
+    whatever was at *path* stays as it was.
     """
     tmp = f"{path}.{os.getpid()}.{next(_TMP_SEQ)}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
     return path
 
 

@@ -1,5 +1,8 @@
 """Unit and property tests for the timing-distribution mini-language."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +16,7 @@ from repro.kernel.timing import (
     Scaled,
     TimingModel,
     Uniform,
+    bounded_int,
 )
 
 
@@ -75,6 +79,20 @@ class TestDistributions:
         with pytest.raises(ValueError):
             Choice(())
 
+    @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
+    def test_choice_bad_weight_rejected(self, weight):
+        # A negative weight builds a non-monotone CDF and a NaN one an
+        # all-NaN CDF; either would make the index search meaningless.
+        with pytest.raises(ValueError, match=re.escape(repr(weight))):
+            Choice(((2.0, Const(1)), (weight, Const(2))))
+
+    def test_choice_cdf_is_not_a_field(self, rng):
+        # Store keys encode a dataclass through dataclasses.fields(); the
+        # cached CDF must stay out of them.
+        d = Choice(((1.0, Const(1)), (3.0, Const(2))))
+        d.sample(rng)
+        assert [f.name for f in dataclasses.fields(d)] == ["options"]
+
     def test_scaled(self, rng):
         d = Scaled(Const(1000), 0.5)
         assert d.sample(rng) == 500
@@ -86,6 +104,93 @@ class TestDistributions:
         d = Uniform(lo, lo + width)
         s = d.sample(rng)
         assert lo <= s <= lo + width
+
+
+def _reference_cdf(weights):
+    """The CDF ``Generator.choice`` builds, as the old sampler kept it."""
+    p = np.array(weights, dtype=float)
+    p /= p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+class TestStreamIdentity:
+    """``bounded_int`` and ``Choice`` draw exactly what numpy draws.
+
+    Two generators on one seed: one goes through the fast paths, the
+    other through ``rng.integers`` and ``ndarray.searchsorted``, with
+    the same other draws interleaved on both.  Every value and the
+    final generator state must agree.
+    """
+
+    #: Spans hi - lo: no draw (0), the Lemire path (1 .. 0xFFFFFFFE;
+    #: 0x55555555 and 2**31 reject about a third and a half of their
+    #: draws), and numpy's own full-word and 64-bit paths.
+    SPANS = (0, 1, 2, 999, 2**31, 0x55555555, 0xFFFFFFFE, 0xFFFFFFFF,
+             2**32, 2**40)
+
+    def _interleave(self, plan, ours, ref):
+        other = int(plan.integers(0, 4))
+        if other == 1:
+            assert ours.random() == ref.random()
+        elif other == 2:
+            assert int(ours.integers(0, 1000)) == int(ref.integers(0, 1000))
+        elif other == 3:
+            assert ours.exponential(5.0) == ref.exponential(5.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bounded_int_matches_integers(self, seed):
+        plan = np.random.default_rng(1000 + seed)
+        ours = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        for _ in range(3000):
+            if plan.random() < 0.5:
+                span = self.SPANS[int(plan.integers(0, len(self.SPANS)))]
+            else:
+                span = int(plan.integers(0, 2**33))
+            lo = int(plan.integers(-10**9, 10**9))
+            got = bounded_int(ours, lo, lo + span)
+            assert got == int(ref.integers(lo, lo + span + 1)), (lo, span)
+            self._interleave(plan, ours, ref)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_bounded_int_refuses_an_empty_range(self):
+        with pytest.raises(ValueError):
+            bounded_int(np.random.default_rng(0), 10, 9)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_choice_matches_searchsorted(self, seed):
+        plan = np.random.default_rng(2000 + seed)
+        ours = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        mixes = []
+        for n in (1, 2, 3, 5, 9):
+            weights = plan.random(n) * 10.0 ** plan.integers(-6, 7, n)
+            weights[plan.random(n) < 0.3] = 0.0   # repeated CDF values
+            weights[0] += 1e-3
+            weights = [float(w) for w in weights]
+            mixes.append((Choice(tuple((w, Const(i))
+                                       for i, w in enumerate(weights))),
+                          _reference_cdf(weights)))
+        for _ in range(3000):
+            choice, cdf = mixes[int(plan.integers(0, len(mixes)))]
+            want = int(cdf.searchsorted(ref.random(), side="right"))
+            assert choice.sample(ours) == want
+            self._interleave(plan, ours, ref)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_uniform_and_fault_cost_use_the_identity(self):
+        from repro.kernel.mm import FaultModel
+
+        ours = np.random.default_rng(11)
+        ref = np.random.default_rng(11)
+        model = FaultModel()
+        for _ in range(200):
+            assert Uniform(400, 900).sample(ours) == int(ref.integers(400, 901))
+            assert model.sample_fault_cost(ours) == int(ref.integers(
+                model.minor_cost_lo, model.minor_cost_hi + 1))
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 class TestTimingModel:

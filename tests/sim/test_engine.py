@@ -301,6 +301,45 @@ class TestHeapHygiene:
         assert len(sim._heap) < 128
 
 
+class TestBareKeys:
+    def test_keys_fire_in_when_seq_order_among_handles(self, sim):
+        fired = []
+        sim.at(20, lambda: fired.append("h20"))
+        sim.schedule(10, lambda: fired.append("k10"))
+        sim.at(10, lambda: fired.append("h10"))
+        sim.schedule(20, lambda: fired.append("k20"))
+        sim.after(10, lambda: fired.append("h10b"))
+        sim.run()
+        assert fired == ["k10", "h10", "h10b", "h20", "k20"]
+
+    def test_cancel_key_once(self, sim):
+        fired = []
+        key = sim.schedule(10, lambda: fired.append(1))
+        assert sim.cancel(key) is True
+        assert sim.cancel(key) is False
+        sim.run()
+        assert fired == []
+        assert sim.events_pending == 0
+
+    def test_cancel_fired_key_returns_false(self, sim):
+        key = sim.schedule(10, lambda: None)
+        sim.run()
+        assert sim.cancel(key) is False
+        assert sim._dead == 0
+
+    def test_mass_cancel_by_key_compacts_like_handles(self):
+        by_key, by_handle = Simulator(), Simulator()
+        keys = [by_key.schedule(10 + i, lambda: None) for i in range(200)]
+        handles = [by_handle.at(10 + i, lambda: None) for i in range(200)]
+        for key, handle in zip(keys[:150], handles[:150]):
+            by_key.cancel(key)
+            handle.cancel()
+        assert len(by_key._heap) < 200
+        assert by_key._heap == by_handle._heap
+        assert by_key._dead == by_handle._dead
+        assert by_key.events_pending == by_handle.events_pending == 50
+
+
 class TestDeterminism:
     def test_same_seed_same_streams(self):
         a = Simulator(seed=99).rng.stream("x").integers(0, 1000, 10)

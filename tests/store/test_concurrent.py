@@ -11,6 +11,8 @@ least-recently-used entries (mtime, bumped on every hit) are evicted
 until the store fits ``max_bytes``.
 """
 
+import errno
+import importlib
 import multiprocessing
 import os
 import threading
@@ -110,6 +112,68 @@ class TestConcurrentWriters:
         report = store.gc(keep_code="codeX")
         assert report.tmp_swept == 1
         assert store.get(key) is not None
+
+
+class _FullDisk:
+    """A file object whose write lands half the bytes, then hits ENOSPC."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, blob):
+        self._fh.write(blob[:len(blob) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _tmp_files(root):
+    return [name for _, _, files in os.walk(root)
+            for name in files if name.endswith(".tmp")]
+
+
+class TestFailedWrite:
+    """A write that fails leaves no tmp behind and the entry as it was."""
+
+    @pytest.fixture
+    def full_disk(self, monkeypatch):
+        module = importlib.import_module("repro.store.store")
+
+        def full_open(file, mode="r", *args, **kwargs):
+            return _FullDisk(open(file, mode, *args, **kwargs))
+
+        return lambda: monkeypatch.setattr(module, "open", full_open,
+                                           raising=False)
+
+    def test_enospc_keeps_the_existing_entry(self, tmp_path, run, full_disk):
+        spec, result, key = run
+        root = str(tmp_path / "store")
+        store = ResultStore(root)
+        path = store.put(key, result, "codeX")
+        with open(path, "rb") as fh:
+            before = fh.read()
+        full_disk()
+        with pytest.raises(OSError) as excinfo:
+            store.put(key, result, "codeY")
+        assert excinfo.value.errno == errno.ENOSPC
+        assert _tmp_files(root) == []
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+
+    def test_enospc_on_a_new_entry_leaves_nothing(self, tmp_path, run,
+                                                  full_disk):
+        spec, result, key = run
+        root = str(tmp_path / "store")
+        store = ResultStore(root)
+        full_disk()
+        with pytest.raises(OSError):
+            store.put(key, result, "codeX")
+        assert _tmp_files(root) == []
+        assert not os.path.exists(store.path_for(key))
 
 
 def _fill(store, n, size=200):
