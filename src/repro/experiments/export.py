@@ -128,11 +128,79 @@ def campaign_to_dict(result: "CampaignResult") -> Dict[str, Any]:
     }
 
 
-def to_json(data: Dict[str, Any], path: Optional[str] = None,
-            indent: int = 2) -> str:
-    """Serialise an exported dictionary (optionally writing a file)."""
-    text = json.dumps(data, indent=indent, sort_keys=True)
+def to_json(data: Dict[str, Any], path: Optional[str] = None) -> str:
+    """Serialise an exported dictionary (optionally writing a file).
+
+    The text is exactly ``json.dumps(data, indent=2, sort_keys=True)``
+    -- every served artifact, ``--json`` file and golden depends on
+    those bytes -- from a join-based writer, because before Python
+    3.13 json's indenting encoder is a token-per-value Python
+    generator.  A self-referencing container raises ``RecursionError``
+    where json raises ``ValueError``.
+    """
+    text = _encode(data, "\n")
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return text
+
+
+_INT_REPR = int.__repr__
+_FLOAT_REPR = float.__repr__
+_ESCAPE = json.encoder.encode_basestring_ascii
+#: json's spellings of the non-finite floats, keyed by ``float.__repr__``.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_ONLY_INT = {int}
+
+
+def _float_text(value: float) -> str:
+    text = _FLOAT_REPR(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as json coerces it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _encode(key, "")  # bool is an int: true / false
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _encode(value: Any, newline: str) -> str:
+    """*value* as json's indent=2 text; *newline* is its line's break."""
+    # The order of the checks is json's, so subclasses (IntEnum,
+    # np.float64, str enums) take the branch json gives them.
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _INT_REPR(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, value)) == _ONLY_INT:
+            body = ("," + inner).join(map(_INT_REPR, value))
+        else:
+            body = ("," + inner).join([_encode(item, inner)
+                                       for item in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        body = ("," + inner).join([
+            _ESCAPE(_key_text(key)) + ": " + _encode(item, inner)
+            for key, item in sorted(value.items())])
+        return "{" + inner + body + newline + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    f"is not JSON serializable")

@@ -41,8 +41,8 @@ class PhysicalCore:
             raise ValueError(f"core {self.index} already has two siblings")
         self.cpus.append(cpu)
         if len(self.cpus) == 2:
-            # Cache the sibling pointers: speed_factor and the busy
-            # notification path resolve them on every frame start.
+            # Cache the sibling pointers: the frame-start speed and the
+            # busy notification path resolve them on every frame start.
             first, second = self.cpus
             first.sibling = second
             second.sibling = first
@@ -56,13 +56,6 @@ class PhysicalCore:
         low = max(0.05, self.ht_speed_mean - self.ht_speed_jitter)
         high = min(1.0, self.ht_speed_mean + self.ht_speed_jitter)
         self._current_factor = float(rng.uniform(low, high))
-
-    def speed_factor(self, cpu: "LogicalCpu") -> float:
-        """Execution-unit speed multiplier for *cpu* right now."""
-        sibling = cpu.sibling
-        if sibling is None or not sibling.frames or not sibling.online:
-            return 1.0
-        return self._current_factor
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<core{self.index} cpus={[c.index for c in self.cpus]}>"

@@ -211,9 +211,10 @@ class LogicalCpu:
                 # Lock was handed over while we were preempted.
                 self._complete_top()
             return
-        # Hyperthread factor (PhysicalCore.speed_factor) times the
-        # memory-bus factor, floored at 0.01: computed here, once per
-        # frame start, the hottest place that needs it.
+        # The hyperthread factor (the core's contention factor while
+        # the sibling runs a frame, else 1) times the memory-bus
+        # factor, floored at 0.01: the one speed rule, applied once
+        # per frame start.
         sibling = self.sibling
         if sibling is None or not sibling.frames or not sibling.online:
             ht = 1.0

@@ -26,6 +26,7 @@ first divergence.
 from __future__ import annotations
 
 from difflib import SequenceMatcher
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.observe.tracepoints import TP
@@ -68,6 +69,14 @@ def _frame_name(kind: str, label: str, owner: str) -> str:
     return owner if owner else label
 
 
+# Plain-int codes: a row's code compares against these without an
+# enum attribute lookup per row.
+_FRAME_PUSH, _FRAME_POP = int(TP.FRAME_PUSH), int(TP.FRAME_POP)
+_IRQS_OFF, _IRQS_ON = int(TP.IRQS_OFF), int(TP.IRQS_ON)
+_PREEMPT_OFF, _PREEMPT_ON = int(TP.PREEMPT_OFF), int(TP.PREEMPT_ON)
+_SPAN_ORDER = attrgetter("start", "cpu", "kind", "name")
+
+
 def extract_spans(events: List[List[Any]]) -> List[Span]:
     """Extract the span set from a recording's event rows.
 
@@ -83,14 +92,15 @@ def extract_spans(events: List[List[Any]]) -> List[Span]:
 
     for row in events:
         t, cpu, tp, args = int(row[0]), int(row[1]), int(row[2]), row[3]
-        last_time = max(last_time, t)
+        if t > last_time:
+            last_time = t
         if cpu not in first_time:
             first_time[cpu] = t
-        if tp == TP.FRAME_PUSH:
+        if tp == _FRAME_PUSH:
             kind, label, owner = args
             frames.setdefault(cpu, []).append(
                 Span(cpu, kind, _frame_name(kind, label, owner), t, t))
-        elif tp == TP.FRAME_POP:
+        elif tp == _FRAME_POP:
             kind, label, owner = args
             stack = frames.get(cpu)
             if stack:
@@ -102,9 +112,9 @@ def extract_spans(events: List[List[Any]]) -> List[Span]:
                 span = Span(cpu, kind, _frame_name(kind, label, owner),
                             first_time[cpu], t, synthetic=True)
             spans.append(span)
-        elif tp == TP.IRQS_OFF:
+        elif tp == _IRQS_OFF:
             toggles[(cpu, "irq_off")] = Span(cpu, "irq_off", "", t, t)
-        elif tp == TP.IRQS_ON:
+        elif tp == _IRQS_ON:
             span = toggles.pop((cpu, "irq_off"), None)
             if span is None:
                 span = Span(cpu, "irq_off", "", first_time[cpu], t,
@@ -112,10 +122,10 @@ def extract_spans(events: List[List[Any]]) -> List[Span]:
             else:
                 span.end = t
             spans.append(span)
-        elif tp == TP.PREEMPT_OFF:
+        elif tp == _PREEMPT_OFF:
             toggles[(cpu, "preempt_off")] = Span(
                 cpu, "preempt_off", args[0] if args else "", t, t)
-        elif tp == TP.PREEMPT_ON:
+        elif tp == _PREEMPT_ON:
             span = toggles.pop((cpu, "preempt_off"), None)
             if span is None:
                 span = Span(cpu, "preempt_off",
@@ -136,7 +146,7 @@ def extract_spans(events: List[List[Any]]) -> List[Span]:
         span.synthetic = True
         spans.append(span)
 
-    spans.sort(key=lambda s: (s.start, s.cpu, s.kind, s.name))
+    spans.sort(key=_SPAN_ORDER)
     return spans
 
 

@@ -88,12 +88,18 @@ class ServiceClient:
 
     def wait(self, job_id: str, poll_s: float = 10.0,
              max_polls: int = 360) -> Dict[str, Any]:
-        """Long-poll until the job finishes (or *max_polls* expire)."""
-        status = self.status(job_id)
+        """Long-poll until the job finishes (or *max_polls* expire).
+
+        Every request long-polls, the first included: the server
+        answers a finished job at once, so a job that ends within
+        *poll_s* costs one request.
+        """
+        if max_polls < 1:
+            raise ValueError(f"max_polls must be >= 1, got {max_polls}")
         for _ in range(max_polls):
+            status = self.status(job_id, wait=poll_s)
             if status["state"] not in ("queued", "running"):
                 return status
-            status = self.status(job_id, wait=poll_s)
         raise ServiceError(
             408, f"job {job_id} still {status['state']} after "
             f"{max_polls} x {poll_s:g}s long-polls")

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.service.jobs import JobArtifact, JobSpec
+from repro.store.store import write_atomic
 
 #: The job state machine's states.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -133,17 +134,15 @@ class JobJournal:
     def __init__(self, root: str) -> None:
         self.root = root
         os.makedirs(root, exist_ok=True)
-        self._tmp_seq = itertools.count()
 
     def path_for(self, job_id: str) -> str:
         return os.path.join(self.root, f"{job_id}.json")
 
     def save(self, record: JobRecord) -> None:
-        path = self.path_for(record.job_id)
-        tmp = f"{path}.{os.getpid()}.{next(self._tmp_seq)}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(record.to_dict(), fh, sort_keys=True)
-        os.replace(tmp, path)
+        # json.dumps encodes in C; the text is json.dump's, and ASCII.
+        write_atomic(self.path_for(record.job_id),
+                     json.dumps(record.to_dict(),
+                                sort_keys=True).encode("utf-8"))
 
     def delete(self, job_id: str) -> None:
         try:
@@ -239,14 +238,27 @@ class JobQueue:
     # ------------------------------------------------------------------
     def pop(self) -> Optional[JobRecord]:
         """The next queued job (highest priority, FIFO), now running."""
+        if not self.has_queued():
+            return None
+        _, _, job_id = heapq.heappop(self._heap)
+        record = self._records[job_id]
+        record.state = "running"
+        self._save(record)
+        return record
+
+    def has_queued(self) -> bool:
+        """True if a job waits to run.
+
+        Heap entries of jobs no longer queued (a cancel leaves its
+        entry behind) are dropped from the top first, so the answer
+        never scans every job the queue has seen.
+        """
         while self._heap:
-            _, _, job_id = heapq.heappop(self._heap)
-            record = self._records.get(job_id)
+            record = self._records.get(self._heap[0][2])
             if record is not None and record.state == "queued":
-                record.state = "running"
-                self._save(record)
-                return record
-        return None
+                return True
+            heapq.heappop(self._heap)
+        return False
 
     def requeue(self, job_id: str) -> None:
         """Put an interrupted running job back in line (drain path)."""

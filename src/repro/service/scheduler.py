@@ -180,7 +180,7 @@ class Scheduler:
                     await self.condition.wait_for(
                         lambda: self._draining
                         or (len(self._active) < self.parallel_jobs
-                            and self._has_queued()))
+                            and self.queue.has_queued()))
                 if self._draining and self._active:
                     await asyncio.gather(*self._active.values(),
                                          return_exceptions=True)
@@ -195,9 +195,6 @@ class Scheduler:
         # or the dispatch loop could sleep through a queued job.
         self._active.pop(job_id, None)
         asyncio.ensure_future(self._bump())
-
-    def _has_queued(self) -> bool:
-        return any(r.state == "queued" for r in self.queue.records())
 
     async def drain(self) -> None:
         """Graceful stop: finish in-flight chunks, requeue the rest."""

@@ -66,8 +66,11 @@ class TestHyperthreadContention:
         for _ in range(100):
             core.resample_factor(rng)
             machine.cpu(1).push_frame(_task(10))
-            factor = core.speed_factor(machine.cpu(0))
-            assert 0.5 <= factor <= 0.69
+            # The frame-start rule: a busy sibling slows the new frame
+            # to the core's contention factor.
+            frame = _task(10)
+            machine.cpu(0).push_frame(frame)
+            assert 0.5 <= frame.speed <= 0.69
             sim.run_until(sim.now + 100)
 
 

@@ -166,6 +166,84 @@ class TestReplay:
         assert spec.shield.cpu == base.shield.cpu
 
 
+def _reference_spans(events):
+    """The span extraction as first written (enum codes, ``max`` per
+    row, a lambda sort key): the oracle for the plain-int version."""
+    from repro.observe.diff.align import Span
+    from repro.observe.tracepoints import TP
+
+    frames, toggles, first_time, spans = {}, {}, {}, []
+    last_time = 0
+    for row in events:
+        t, cpu, tp, args = int(row[0]), int(row[1]), int(row[2]), row[3]
+        last_time = max(last_time, t)
+        if cpu not in first_time:
+            first_time[cpu] = t
+        if tp == TP.FRAME_PUSH:
+            kind, label, owner = args
+            frames.setdefault(cpu, []).append(
+                Span(cpu, kind, owner or label, t, t))
+        elif tp == TP.FRAME_POP:
+            kind, label, owner = args
+            stack = frames.get(cpu)
+            if stack:
+                span = stack.pop()
+                span.end = t
+            else:
+                span = Span(cpu, kind, owner or label, first_time[cpu], t,
+                            synthetic=True)
+            spans.append(span)
+        elif tp == TP.IRQS_OFF:
+            toggles[(cpu, "irq_off")] = Span(cpu, "irq_off", "", t, t)
+        elif tp == TP.IRQS_ON:
+            span = toggles.pop((cpu, "irq_off"), None)
+            if span is None:
+                span = Span(cpu, "irq_off", "", first_time[cpu], t,
+                            synthetic=True)
+            else:
+                span.end = t
+            spans.append(span)
+        elif tp == TP.PREEMPT_OFF:
+            toggles[(cpu, "preempt_off")] = Span(
+                cpu, "preempt_off", args[0] if args else "", t, t)
+        elif tp == TP.PREEMPT_ON:
+            span = toggles.pop((cpu, "preempt_off"), None)
+            if span is None:
+                span = Span(cpu, "preempt_off", args[0] if args else "",
+                            first_time[cpu], t, synthetic=True)
+            else:
+                span.end = t
+            spans.append(span)
+    for stack in frames.values():
+        for span in stack:
+            span.end = last_time
+            span.synthetic = True
+            spans.append(span)
+    for span in toggles.values():
+        span.end = last_time
+        span.synthetic = True
+        spans.append(span)
+    spans.sort(key=lambda s: (s.start, s.cpu, s.kind, s.name))
+    return spans
+
+
+class TestSpanOracle:
+    """``extract_spans`` equals its first version, span for span."""
+
+    def test_full_recording(self, fig6_rec):
+        spans = [s.to_dict() for s in extract_spans(fig6_rec.events)]
+        assert spans == [s.to_dict()
+                         for s in _reference_spans(fig6_rec.events)]
+        assert any(s["kind"] == "preempt_off" for s in spans)
+
+    def test_ring_wrapped_recording(self):
+        rec, _result = record_scenario(_spec(samples=60), capacity=96)
+        assert rec.dropped > 0
+        spans = [s.to_dict() for s in extract_spans(rec.events)]
+        assert spans == [s.to_dict() for s in _reference_spans(rec.events)]
+        assert any(s["synthetic"] for s in spans)
+
+
 class TestRingWrap:
     """The satellite case: recordings that wrapped the ring still
     align, diff and report -- the window is truncated, never wrong."""

@@ -117,6 +117,18 @@ class TestByteIdentity:
             assert client.artifact(again["id"]) == served["fig7"]
 
 
+class _CountingClient(ServiceClient):
+    """A client that records the path of every request it sends."""
+
+    def __init__(self, address):
+        super().__init__(address)
+        self.paths = []
+
+    def _request(self, method, path, body=None, timeout=None):
+        self.paths.append(path)
+        return super()._request(method, path, body, timeout=timeout)
+
+
 class TestHttpContract:
     def test_bad_spec_is_400(self, tmp_path):
         with ServerThread(str(tmp_path / "store")) as addr:
@@ -179,6 +191,33 @@ class TestHttpContract:
             final = client.wait(job_id, poll_s=15.0)
             assert final["state"] == "done"
             assert final["cells_done"] == final["cells_total"] == 1
+
+    def test_wait_is_one_request_when_the_job_ends_in_time(self,
+                                                           tmp_path):
+        with ServerThread(str(tmp_path / "store")) as addr:
+            client = _CountingClient(addr)
+            job_id = client.submit(FIG7)["id"]
+            client.paths.clear()
+            final = client.wait(job_id, poll_s=60.0)
+            assert final["state"] == "done"
+            assert client.paths == [f"/jobs/{job_id}?wait=60"]
+            # A finished job answers the long-poll at once.
+            assert client.wait(job_id, poll_s=60.0) == final
+            assert len(client.paths) == 2
+
+    def test_wait_gives_up_after_max_polls_long_polls(self, tmp_path):
+        with ServerThread(str(tmp_path / "store"), workers=1) as addr:
+            client = _CountingClient(addr)
+            job_id = client.submit(CAMPAIGN)["id"]
+            client.paths.clear()
+            with pytest.raises(ServiceError) as err:
+                client.wait(job_id, poll_s=0, max_polls=2)
+            assert err.value.status == 408
+            assert "after 2 x 0s long-polls" in str(err.value)
+            assert client.paths == [f"/jobs/{job_id}?wait=0"] * 2
+            with pytest.raises(ValueError, match="max_polls"):
+                client.wait(job_id, max_polls=0)
+            assert client.wait(job_id, poll_s=60.0)["state"] == "done"
 
     def test_stream_follows_to_completion(self, tmp_path):
         with ServerThread(str(tmp_path / "store")) as addr:

@@ -1,17 +1,22 @@
 """The queue state machine: admission, priority, journal recovery."""
 
+import errno
+import importlib
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.service.jobs import JobSpec
+from repro.service.jobs import JobArtifact, JobSpec
 from repro.service.queue import (
     JobJournal,
     JobQueue,
     QueueFullError,
     UnknownJobError,
 )
+from tests.store.test_concurrent import _FullDisk, _tmp_files
 
 
 def fig_spec(seed, priority=0):
@@ -159,3 +164,81 @@ class TestJournal:
         # No tmp files linger after the atomic replace.
         assert [n for n in os.listdir(journal.root)
                 if n.endswith(".tmp")] == []
+
+    def test_saved_file_is_json_dumps_of_the_record(self, tmp_path):
+        # The bytes json.dump wrote before the journal shared the
+        # store's writer: sorted keys, default separators, ASCII.
+        journal = JobJournal(str(tmp_path / "journal"))
+        queue = JobQueue(capacity=8, journal=journal)
+        queue.submit(fig_spec(1), "a")
+        queue.pop()
+        record = queue.finish("a", JobArtifact(
+            artifact='{\n  "max_us": 12.5\n}\n',
+            report="max 12.5 \u00b5s \u2713", stats={"cells": 1}))
+        with open(journal.path_for("a"), "rb") as fh:
+            raw = fh.read()
+        assert raw == json.dumps(record.to_dict(),
+                                 sort_keys=True).encode("ascii")
+        assert JobJournal(journal.root).load_all()[0].artifact.report == (
+            "max 12.5 \u00b5s \u2713")
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path,
+                                                  monkeypatch):
+        journal = JobJournal(str(tmp_path / "journal"))
+        queue = JobQueue(capacity=8, journal=journal)
+        record, _ = queue.submit(fig_spec(1), "abc")
+        with open(journal.path_for("abc"), "rb") as fh:
+            before = fh.read()
+
+        def full_open(file, mode="r", *args, **kwargs):
+            return _FullDisk(open(file, mode, *args, **kwargs))
+
+        monkeypatch.setattr(importlib.import_module("repro.store.store"),
+                            "open", full_open, raising=False)
+        record.state = "running"
+        with pytest.raises(OSError) as excinfo:
+            journal.save(record)
+        assert excinfo.value.errno == errno.ENOSPC
+        assert _tmp_files(journal.root) == []
+        with open(journal.path_for("abc"), "rb") as fh:
+            assert fh.read() == before
+
+
+_OPS = ("submit", "pop", "cancel", "requeue", "finish", "fail", "recover")
+
+
+class TestHasQueued:
+    """``has_queued`` answers from the heap; a scan of every record is
+    the oracle, whatever order of transitions led there."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(ops=st.lists(st.tuples(st.sampled_from(_OPS),
+                                  st.integers(0, 9)), max_size=30))
+    def test_agrees_with_a_scan_of_every_record(self, ops):
+        with tempfile.TemporaryDirectory() as root:
+            queue = JobQueue(capacity=64, journal=JobJournal(root))
+            for n, (op, pick) in enumerate(ops):
+                records = queue.records()
+                target = records[pick % len(records)] if records else None
+                if op == "submit":
+                    queue.submit(fig_spec(n, priority=pick % 3), f"j{n}")
+                elif op == "pop":
+                    queue.pop()
+                elif op == "recover":
+                    queue = JobQueue(capacity=64, journal=JobJournal(root))
+                    queue.recover()
+                elif target is None:
+                    continue
+                elif op == "cancel":
+                    queue.cancel(target.job_id)
+                elif op == "requeue":
+                    queue.requeue(target.job_id)
+                elif target.state == "running":
+                    if op == "finish":
+                        queue.finish(target.job_id, JobArtifact(
+                            artifact="{}\n", report="ok"))
+                    else:
+                        queue.fail(target.job_id, "boom")
+                expected = any(r.state == "queued"
+                               for r in queue.records())
+                assert queue.has_queued() is expected, (op, n)

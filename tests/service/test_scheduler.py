@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.service.jobs import JobSpec
+from repro.service.jobs import JobArtifact, JobSpec
 from repro.service.queue import JobJournal, JobQueue, QueueFullError
 from repro.service.scheduler import Scheduler, ServiceDraining
 
@@ -229,6 +229,31 @@ class TestBackpressureAndDrain:
         assert keep.state == "done"
         assert drop.state == "cancelled"
         assert drop.cells_total == 0
+
+
+class TestDispatch:
+    def test_a_long_history_still_dispatches_a_new_job(self, tmp_path):
+        # 400 finished jobs and 100 cancelled ones whose heap entries
+        # outrank the new job: dispatch must skip them, not stall.
+        queue = JobQueue(capacity=8)
+        for n in range(400):
+            queue.submit(JobSpec.from_dict(dict(FIGURE, seed=100 + n)),
+                         f"old-{n}")
+            queue.pop()
+            queue.finish(f"old-{n}", JobArtifact(artifact="{}\n",
+                                                 report="old"))
+        for n in range(100):
+            queue.submit(JobSpec.from_dict(dict(FIGURE, seed=600 + n,
+                                                priority=5)),
+                         f"cancelled-{n}")
+            queue.cancel(f"cancelled-{n}")
+        sched = Scheduler(str(tmp_path / "store"), queue, workers=1,
+                          parallel_jobs=1)
+        (record,) = asyncio.run(serve_jobs(sched, [FIGURE]))
+        assert record.state == "done"
+        assert queue.stats()["by_state"] == {
+            "queued": 0, "running": 0, "done": 401, "failed": 0,
+            "cancelled": 100}
 
 
 class TestHealth:
