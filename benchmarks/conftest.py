@@ -20,11 +20,21 @@ import os
 
 import pytest
 
+from repro.experiments.scenario import run_named, scenario_names
+
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
 
 def scaled(value: int, minimum: int = 1) -> int:
     return max(minimum, int(value * SCALE))
+
+
+def family(group: str, **knobs):
+    """Run every scenario of ablation *group*, keyed by variant name
+    (the scenario name without its ``<group>-`` prefix)."""
+    prefix = f"{group}-"
+    return {name[len(prefix):]: run_named(name, **knobs)
+            for name in scenario_names(group=group)}
 
 
 @pytest.fixture(scope="session")

@@ -7,15 +7,14 @@ Without it, the RCIM waiter reacquires the contended BKL after every
 wakeup -- against the X server's DRM ioctls in the Figure 7 load.
 """
 
-from conftest import print_report, scaled
+from conftest import family, print_report, scaled
 
-from repro.experiments.ablations import run_bkl_flag_ablation
 from repro.metrics.report import comparison_table
 
 
 def test_ablation_bkl_ioctl_flag(benchmark):
     results = benchmark.pedantic(
-        lambda: run_bkl_flag_ablation(samples=scaled(8_000, minimum=2_000)),
+        lambda: family("a3", samples=scaled(8_000, minimum=2_000)),
         rounds=1, iterations=1)
 
     rows = []

@@ -7,15 +7,14 @@ Figure 5 setup across all four patch combinations on the 2.4 baseline
 (no shield) and reports worst-case latency per variant.
 """
 
-from conftest import print_report, scaled
+from conftest import family, print_report, scaled
 
-from repro.experiments.ablations import run_patch_ablation
 from repro.metrics.report import comparison_table
 
 
 def test_ablation_preempt_lowlat_patches(benchmark):
     results = benchmark.pedantic(
-        lambda: run_patch_ablation(samples=scaled(8_000, minimum=2_000)),
+        lambda: family("a2", samples=scaled(8_000, minimum=2_000)),
         rounds=1, iterations=1)
 
     rows = []

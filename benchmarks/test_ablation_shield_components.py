@@ -8,16 +8,14 @@ scheduling interference; the local-timer shield trims the residual
 tick theft.
 """
 
-from conftest import print_report, scaled
+from conftest import family, print_report, scaled
 
-from repro.experiments.ablations import run_shield_component_ablation
 from repro.metrics.report import comparison_table
 
 
 def test_ablation_shield_components(benchmark):
     results = benchmark.pedantic(
-        lambda: run_shield_component_ablation(
-            samples=scaled(8_000, minimum=2_000)),
+        lambda: family("a1", samples=scaled(8_000, minimum=2_000)),
         rounds=1, iterations=1)
 
     rows = []

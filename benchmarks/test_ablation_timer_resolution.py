@@ -10,9 +10,8 @@ The three variants are the registered scenarios ``a5-vanilla``,
 ``a5-highres`` and ``a5-highres-shield``.
 """
 
-from conftest import print_report, scaled
+from conftest import family, print_report, scaled
 
-from repro.experiments.ablations import run_timer_resolution_ablation
 from repro.metrics.report import comparison_table
 
 LABELS = {
@@ -26,7 +25,7 @@ def test_ablation_timer_resolution(benchmark):
     cycles = scaled(3_000, minimum=800)
 
     results = benchmark.pedantic(
-        lambda: run_timer_resolution_ablation(cycles=cycles),
+        lambda: family("a5", samples=cycles, seed=5),
         rounds=1, iterations=1)
 
     rows = [(LABELS[name], f"{r.recorder.min() / 1e3:.1f}",

@@ -14,9 +14,8 @@ The two variants are the registered scenarios ``a6-vanilla-up`` and
 ``a6-redhawk-up``.
 """
 
-from conftest import print_report, scaled
+from conftest import family, print_report, scaled
 
-from repro.experiments.ablations import run_uniprocessor_ablation
 from repro.metrics.report import comparison_table
 
 LABELS = {"vanilla-up": "vanilla-UP", "redhawk-up": "redhawk-UP"}
@@ -26,7 +25,7 @@ def test_ablation_uniprocessor(benchmark):
     samples = scaled(6_000, minimum=2_000)
 
     results = benchmark.pedantic(
-        lambda: run_uniprocessor_ablation(samples=samples),
+        lambda: family("a6", samples=samples, seed=9),
         rounds=1, iterations=1)
 
     rows = [(LABELS[name], f"{r.recorder.max() / 1e6:.3f}",

@@ -7,35 +7,32 @@ still better than stock 2.4 with hyperthreading.
 
 from conftest import note, print_report, scaled
 
-from repro.experiments.determinism import (
-    run_fig2_redhawk_shielded,
-    run_fig3_redhawk_unshielded,
-)
+from repro.experiments.scenario import run_named
 
 PAPER_JITTER_PCT = 14.82
 
 
 def test_fig3_redhawk_unshielded_determinism(benchmark):
     result = benchmark.pedantic(
-        lambda: run_fig3_redhawk_unshielded(iterations=scaled(15, minimum=6)),
+        lambda: run_named("fig3", iterations=scaled(15, minimum=6)),
         rounds=1, iterations=1)
 
     print_report(result.report())
     note(f"paper jitter: {PAPER_JITTER_PCT}%  "
-          f"measured: {result.jitter_percent:.2f}%")
+          f"measured: {result.jitter_percent():.2f}%")
 
-    assert 5.0 < result.jitter_percent < 35.0
+    assert 5.0 < result.jitter_percent() < 35.0
 
 
 def test_fig3_vs_fig2_shield_contribution(benchmark):
     """The shield is what buys the determinism, not RedHawk alone."""
     def run_pair():
-        return (run_fig3_redhawk_unshielded(iterations=scaled(8, minimum=5)),
-                run_fig2_redhawk_shielded(iterations=scaled(8, minimum=5)))
+        return (run_named("fig3", iterations=scaled(8, minimum=5)),
+                run_named("fig2", iterations=scaled(8, minimum=5)))
 
     unshielded, shielded = benchmark.pedantic(run_pair, rounds=1,
                                               iterations=1)
     print_report(
-        f"unshielded jitter: {unshielded.jitter_percent:.2f}%\n"
-        f"shielded jitter:   {shielded.jitter_percent:.2f}%")
-    assert shielded.jitter_percent < unshielded.jitter_percent / 2
+        f"unshielded jitter: {unshielded.jitter_percent():.2f}%\n"
+        f"shielded jitter:   {shielded.jitter_percent():.2f}%")
+    assert shielded.jitter_percent() < unshielded.jitter_percent() / 2

@@ -13,7 +13,7 @@ multi-millisecond regime rather than the exact 92 ms quantile.
 
 from conftest import note, print_report, scaled
 
-from repro.experiments.interrupt_response import run_fig5_vanilla_rtc
+from repro.experiments.scenario import run_named
 from repro.metrics.histogram import LogHistogram
 from repro.metrics.report import FIG5_THRESHOLDS_MS, bucket_table
 
@@ -22,7 +22,7 @@ PAPER = {"max_ms": 92.3, "below_0p1ms": 99.140, "below_1ms": 99.843}
 
 def test_fig5_vanilla_rtc_latency(benchmark):
     result = benchmark.pedantic(
-        lambda: run_fig5_vanilla_rtc(samples=scaled(25_000, minimum=4_000)),
+        lambda: run_named("fig5", samples=scaled(25_000, minimum=4_000)),
         rounds=1, iterations=1)
     rec = result.recorder
 

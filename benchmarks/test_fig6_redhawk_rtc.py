@@ -14,7 +14,7 @@ observed.
 
 from conftest import note, print_report, scaled
 
-from repro.experiments.interrupt_response import run_fig6_redhawk_shielded_rtc
+from repro.experiments.scenario import run_named
 from repro.metrics.report import FIG6_THRESHOLDS_MS
 
 PAPER = {"max_ms": 0.565, "below_0p1ms": 99.99986}
@@ -22,8 +22,8 @@ PAPER = {"max_ms": 0.565, "below_0p1ms": 99.99986}
 
 def test_fig6_redhawk_shielded_rtc_latency(benchmark):
     result = benchmark.pedantic(
-        lambda: run_fig6_redhawk_shielded_rtc(
-            samples=scaled(60_000, minimum=8_000), seed=2),
+        lambda: run_named("fig6", samples=scaled(60_000, minimum=8_000),
+                          seed=2),
         rounds=1, iterations=1)
     rec = result.recorder
 

@@ -8,14 +8,14 @@ on worst-case interrupt response time of less than 30 microseconds."
 
 from conftest import note, print_report, scaled
 
-from repro.experiments.interrupt_response import run_fig7_rcim
+from repro.experiments.scenario import run_named
 
 PAPER = {"min_us": 11, "max_us": 27, "avg_us": 11.3}
 
 
 def test_fig7_rcim_latency(benchmark):
     result = benchmark.pedantic(
-        lambda: run_fig7_rcim(samples=scaled(25_000, minimum=4_000)),
+        lambda: run_named("fig7", samples=scaled(25_000, minimum=4_000)),
         rounds=1, iterations=1)
     rec = result.recorder
 

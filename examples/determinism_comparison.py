@@ -40,11 +40,11 @@ def main():
     iterations = int(sys.argv[1]) if len(sys.argv) > 1 else 10
 
     for name, paper_pct in PAPER.items():
-        result = run_named(name, iterations=iterations).to_determinism()
+        result = run_named(name, iterations=iterations)
         print(result.report())
         print(render_variances(result))
         print(f"  paper jitter: {paper_pct}%   "
-              f"measured: {result.jitter_percent:.2f}%")
+              f"measured: {result.jitter_percent():.2f}%")
         print()
 
 

@@ -15,7 +15,8 @@ Quick start::
     ...
 
 See ``examples/quickstart.py`` for a complete runnable program and
-``repro.experiments`` for the per-figure reproduction runners.
+``repro.experiments`` for the scenario registry that reproduces each
+figure.
 """
 
 from repro.configs.kernels import redhawk_1_4, vanilla_2_4_21

@@ -7,7 +7,7 @@ keeping :class:`~repro.experiments.scenario.ScenarioSpec` picklable.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.configs.calibration import redhawk_timing_table, vanilla_timing_table
 from repro.kernel.config import KernelConfig
@@ -38,14 +38,6 @@ def kernel_factory(name: str) -> KernelFactory:
 def kernel_config(name: str) -> KernelConfig:
     """Build a fresh config for the registered kernel *name*."""
     return kernel_factory(name)()
-
-
-def kernel_name_of(factory: KernelFactory) -> Optional[str]:
-    """Reverse lookup: the registry name of *factory*, if registered."""
-    for name, registered in _KERNELS.items():
-        if registered is factory:
-            return name
-    return None
 
 
 def vanilla_2_4_21() -> KernelConfig:

@@ -1,11 +1,11 @@
-"""Experiment runners and the declarative scenario/campaign layer.
+"""The declarative scenario/campaign layer.
 
 The scenario registry (:mod:`repro.experiments.scenario` +
 :mod:`repro.experiments.catalog`) holds every figure, ablation and FBS
-run as declarative data; the campaign runner
+run as declarative data, and :func:`run_scenario` / :func:`run_named`
+are the one way to run one; the campaign runner
 (:mod:`repro.experiments.campaign`) executes scenario x seed x
-config-override matrices in parallel.  The per-figure functions remain
-as thin wrappers.
+config-override matrices in parallel.
 """
 
 from repro.experiments.harness import Bench, build_bench
@@ -29,20 +29,6 @@ from repro.experiments.campaign import (
     CampaignSpec,
     run_campaign,
 )
-from repro.experiments.determinism import (
-    run_fig1_vanilla_ht,
-    run_fig2_redhawk_shielded,
-    run_fig3_redhawk_unshielded,
-    run_fig4_vanilla_noht,
-    run_determinism,
-)
-from repro.experiments.interrupt_response import (
-    run_fig5_vanilla_rtc,
-    run_fig6_redhawk_shielded_rtc,
-    run_fig7_rcim,
-    run_rtc_experiment,
-    run_rcim_experiment,
-)
 
 __all__ = [
     "Bench",
@@ -65,15 +51,4 @@ __all__ = [
     "CampaignRunner",
     "CampaignSpec",
     "run_campaign",
-    # legacy figure entry points
-    "run_determinism",
-    "run_fig1_vanilla_ht",
-    "run_fig2_redhawk_shielded",
-    "run_fig3_redhawk_unshielded",
-    "run_fig4_vanilla_noht",
-    "run_rtc_experiment",
-    "run_rcim_experiment",
-    "run_fig5_vanilla_rtc",
-    "run_fig6_redhawk_shielded_rtc",
-    "run_fig7_rcim",
 ]

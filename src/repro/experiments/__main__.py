@@ -1,6 +1,6 @@
 """Command-line experiment runner.
 
-Figures (legacy form, kept stable)::
+Figures (each a registered scenario; ``all`` runs fig1..fig7)::
 
     python -m repro.experiments fig5 --samples 20000
     python -m repro.experiments fig2 --iterations 20
@@ -69,17 +69,6 @@ import json
 import os
 import sys
 
-from repro.experiments.determinism import (
-    run_fig1_vanilla_ht,
-    run_fig2_redhawk_shielded,
-    run_fig3_redhawk_unshielded,
-    run_fig4_vanilla_noht,
-)
-from repro.experiments.interrupt_response import (
-    run_fig5_vanilla_rtc,
-    run_fig6_redhawk_shielded_rtc,
-    run_fig7_rcim,
-)
 from repro.experiments.scenario import (
     UnknownScenarioError,
     all_scenarios,
@@ -87,17 +76,9 @@ from repro.experiments.scenario import (
     scenario,
 )
 
-DETERMINISM = {
-    "fig1": run_fig1_vanilla_ht,
-    "fig2": run_fig2_redhawk_shielded,
-    "fig3": run_fig3_redhawk_unshielded,
-    "fig4": run_fig4_vanilla_noht,
-}
-LATENCY = {
-    "fig5": (run_fig5_vanilla_rtc, "buckets"),
-    "fig6": (run_fig6_redhawk_shielded_rtc, "fine-buckets"),
-    "fig7": (run_fig7_rcim, "summary"),
-}
+#: The paper's figures, by result family (each a registered scenario).
+DETERMINISM = ("fig1", "fig2", "fig3", "fig4")
+LATENCY = ("fig5", "fig6", "fig7")
 
 SUBCOMMANDS = ("bounds", "campaign", "diff", "faults", "list-scenarios",
                "run", "serve", "status", "store", "submit", "trace")
@@ -121,7 +102,7 @@ def run_one(name: str, iterations: int, samples: int, seed: int,
         spec = scenario(name)
     except UnknownScenarioError:
         raise SystemExit(f"unknown figure {name!r}; choose from "
-                         f"{sorted(DETERMINISM) + sorted(LATENCY)} or 'all' "
+                         f"{[*DETERMINISM, *LATENCY]} or 'all' "
                          f"(or use 'list-scenarios')")
     spec = spec.configured(iterations=iterations, samples=samples, seed=seed)
     ld_config = None
@@ -1470,7 +1451,7 @@ def main(argv=None) -> int:
     failures = 0
     if args.lint:
         failures += _run_lint()
-    names = (sorted(DETERMINISM) + sorted(LATENCY)
+    names = ([*DETERMINISM, *LATENCY]
              if args.figure == "all" else [args.figure])
     for name in names:
         trace_out = args.trace_out

@@ -4,8 +4,8 @@ Registers every experiment the repo reproduces as declarative data:
 
 * ``fig1``..``fig4`` -- the execution-determinism figures (section 5);
 * ``fig5``..``fig7`` -- the interrupt-response figures (section 6);
-* ``a1-*``..``a6-*`` -- the six ablation families (see
-  :mod:`repro.experiments.ablations`);
+* ``a1-*``..``a6-*`` -- the six ablation families, each printed as
+  one table by a ``benchmarks/test_ablation_*.py`` script;
 * ``fbs-*`` -- the frequency-based-scheduling frame-jitter runs.
 
 Importing this module (done lazily by the registry accessors in

@@ -1,45 +1,50 @@
 """Result export: figure data as plain dictionaries / JSON.
 
-The experiment runners return rich result objects; downstream users
-plotting with their own tooling want flat, stable data.  These
-exporters produce JSON-serialisable dictionaries carrying everything a
-figure needs: the summary statistics, the histogram series, and the
-provenance (kernel description, sample count, seed-independent
-identity of the experiment).
+:func:`run_scenario <repro.experiments.scenario.run_scenario>` returns
+a rich :class:`ScenarioResult`; downstream users plotting with their
+own tooling want flat, stable data.  These exporters produce
+JSON-serialisable dictionaries carrying everything a figure needs: the
+summary statistics, the histogram series, and the provenance (kernel
+description, sample count, seed-independent identity of the
+experiment).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Dict, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.experiments.determinism import DeterminismResult
-from repro.experiments.interrupt_response import LatencyResult
 from repro.metrics.histogram import Histogram, LogHistogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.campaign import CampaignResult
     from repro.experiments.scenario import ScenarioResult
 
+#: Bins of the determinism variance histogram (ms from ideal).
+VARIANCE_BINS = 50
+#: Range of the latency log histogram, in ns.
+LATENCY_HIST_LO_NS = 1_000.0
+LATENCY_HIST_HI_NS = 100_000_000.0
 
-def determinism_to_dict(result: DeterminismResult,
-                        nbins: int = 50) -> Dict[str, Any]:
+
+def determinism_to_dict(result: "ScenarioResult") -> Dict[str, Any]:
     """Flatten a determinism result (Figures 1-4 style)."""
-    variances = result.recorder.variances_ms()
+    rec = result.recorder
+    variances = rec.variances_ms()
     hi = max(1.0, float(variances.max()) * 1.05) if len(variances) else 1.0
-    hist = Histogram(0.0, hi, nbins)
+    hist = Histogram(0.0, hi, VARIANCE_BINS)
     hist.add_many(variances)
     return {
-        "figure": result.figure,
+        "figure": result.title,
         "kernel": result.kernel_name,
         "seed": result.seed,
-        "iterations": result.recorder.count,
+        "iterations": rec.count,
         "ideal_s": result.ideal_ns / 1e9,
-        "max_s": result.max_ns / 1e9,
-        "jitter_s": result.jitter_ns / 1e9,
-        "jitter_percent": result.jitter_percent,
+        "max_s": result.max_ns() / 1e9,
+        "jitter_s": result.jitter_ns() / 1e9,
+        "jitter_percent": result.jitter_percent(),
         "variance_ms_series": variances.tolist(),
         "histogram": {
             "unit": "ms-from-ideal",
@@ -49,16 +54,13 @@ def determinism_to_dict(result: DeterminismResult,
     }
 
 
-def latency_to_dict(result: LatencyResult,
-                    thresholds_ms: Optional[Sequence[float]] = None,
-                    hist_lo_ns: float = 1_000.0,
-                    hist_hi_ns: float = 100_000_000.0) -> Dict[str, Any]:
+def latency_to_dict(result: "ScenarioResult") -> Dict[str, Any]:
     """Flatten a latency result (Figures 5-7 style)."""
     rec = result.recorder
-    hist = LogHistogram(hist_lo_ns, hist_hi_ns)
-    hist.add_many(np.maximum(rec.as_array(), hist_lo_ns + 1))
-    out: Dict[str, Any] = {
-        "figure": result.figure,
+    hist = LogHistogram(LATENCY_HIST_LO_NS, LATENCY_HIST_HI_NS)
+    hist.add_many(np.maximum(rec.as_array(), LATENCY_HIST_LO_NS + 1))
+    return {
+        "figure": result.title,
         "kernel": result.kernel_name,
         "seed": result.seed,
         "samples": rec.count,
@@ -71,21 +73,14 @@ def latency_to_dict(result: LatencyResult,
                          for b in hist.bins() if b.count],
         },
     }
-    if thresholds_ms:
-        out["cumulative"] = [
-            {"below_ms": t,
-             "fraction": rec.fraction_below(int(t * 1e6))}
-            for t in thresholds_ms
-        ]
-    return out
 
 
 def scenario_to_dict(result: "ScenarioResult") -> Dict[str, Any]:
     """Flatten a scenario-layer result, whatever its kind."""
     if result.kind == "determinism":
-        out = determinism_to_dict(result.to_determinism())
+        out = determinism_to_dict(result)
     else:
-        out = latency_to_dict(result.to_latency())
+        out = latency_to_dict(result)
     out["scenario"] = result.scenario
     out["kind"] = result.kind
     if result.details:

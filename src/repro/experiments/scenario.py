@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.configs.kernels import kernel_config, kernel_name_of
+from repro.configs.kernels import kernel_config
 from repro.core.affinity import CpuMask
 from repro.experiments.harness import Bench, build_bench
 from repro.hw.machine import MachineSpec, interrupt_testbed
@@ -308,36 +308,6 @@ class ScenarioResult:
             return bucket_table(self.recorder, title, FIG6_THRESHOLDS_MS)
         return latency_summary(self.recorder, title)
 
-    # -- legacy result conversion --------------------------------------
-    def to_determinism(self):
-        """As the legacy :class:`DeterminismResult` (thin wrappers)."""
-        from repro.experiments.determinism import DeterminismResult
-
-        return DeterminismResult(
-            figure=self.title,
-            kernel_name=self.kernel_name,
-            recorder=self.recorder,
-            ideal_ns=self.ideal_ns,
-            max_ns=self.recorder.max(),
-            jitter_ns=self.recorder.jitter_ns(),
-            jitter_percent=100.0 * self.recorder.jitter_fraction(),
-            seed=self.seed,
-        )
-
-    def to_latency(self):
-        """As the legacy :class:`LatencyResult` (thin wrappers)."""
-        from repro.experiments.interrupt_response import LatencyResult
-
-        return LatencyResult(
-            figure=self.title,
-            kernel_name=self.kernel_name,
-            recorder=self.recorder,
-            max_ns=self.recorder.max(),
-            mean_ns=self.recorder.mean(),
-            min_ns=self.recorder.min(),
-            seed=self.seed,
-        )
-
 
 # ----------------------------------------------------------------------
 # Execution
@@ -352,8 +322,7 @@ def build_scenario_bench(spec: ScenarioSpec,
                        rcim_period_ns=spec.rcim_period_ns)
 
 
-def _measure_ideal(spec: ScenarioSpec,
-                   kernel_factory: Optional[Any]) -> int:
+def _measure_ideal(spec: ScenarioSpec) -> int:
     """The unloaded baseline run (3 iterations, no load, no shield)."""
     baseline = spec.with_overrides(
         workloads=(),
@@ -365,19 +334,15 @@ def _measure_ideal(spec: ScenarioSpec,
         measurement=replace(spec.measurement, iterations=3,
                             measure_ideal=False),
     )
-    result = run_scenario(baseline, kernel_factory=kernel_factory)
+    result = run_scenario(baseline)
     return int(result.recorder.as_array().min())
 
 
 def run_scenario(spec: ScenarioSpec,
-                 kernel_factory: Optional[Any] = None,
                  lockdep: Optional[Any] = None,
                  trace: Optional[Any] = None,
                  faults: Optional[Any] = None) -> ScenarioResult:
     """Run one scenario end to end.
-
-    *kernel_factory* overrides the registry lookup for ad-hoc local
-    configs (legacy wrappers); campaign workers always resolve by name.
 
     *lockdep* enables invariant checking for the main run: ``True``
     for default observation, or a
@@ -402,19 +367,14 @@ def run_scenario(spec: ScenarioSpec,
     handlers and rogue tasks run under lockdep's wrappers and every
     injection is traceable.
     """
-    if kernel_factory is not None:
-        config = kernel_factory()
-        if spec.config_overrides:
-            config = config.with_overrides(**dict(spec.config_overrides))
-    else:
-        config = spec.build_config()
+    config = spec.build_config()
 
     if spec.shield.any_component and not config.shield_support:
         raise ValueError(f"{config.name} has no shield support")
 
     ideal: Optional[int] = None
     if spec.measurement.measure_ideal:
-        ideal = _measure_ideal(spec, kernel_factory)
+        ideal = _measure_ideal(spec)
 
     bench = build_scenario_bench(spec, config)
 

@@ -30,7 +30,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.service.jobs import JobArtifact, JobSpec
+from repro.service.jobs import JobArtifact, JobError, JobSpec
 from repro.store.store import write_atomic
 
 #: The job state machine's states.
@@ -109,6 +109,8 @@ class JobRecord:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobRecord":
+        if not isinstance(data, dict):
+            raise JobError("job record must be a JSON object")
         artifact = None
         if data.get("artifact") is not None:
             blob = data["artifact"]
@@ -164,7 +166,7 @@ class JobJournal:
             try:
                 with open(path, encoding="utf-8") as fh:
                     records.append(JobRecord.from_dict(json.load(fh)))
-            except (OSError, ValueError, KeyError):
+            except (OSError, ValueError, KeyError, TypeError):
                 continue  # torn/corrupt journal: the job is just lost
         records.sort(key=lambda r: r.seq)
         return records

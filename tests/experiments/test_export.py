@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.determinism import DeterminismResult
 from repro.experiments.export import (
     determinism_to_dict,
     latency_to_dict,
     to_json,
 )
-from repro.experiments.interrupt_response import LatencyResult
+from repro.experiments.scenario import ScenarioResult
 from repro.metrics.recorder import JitterRecorder, LatencyRecorder
 
 
@@ -23,10 +22,10 @@ def det_result():
     rec = JitterRecorder("d", ideal_ns=1_000_000_000)
     for v in (1_000_000_000, 1_050_000_000, 1_200_000_000):
         rec.record_duration(v)
-    return DeterminismResult(
-        figure="Figure X", kernel_name="test-kernel", recorder=rec,
-        ideal_ns=1_000_000_000, max_ns=1_200_000_000,
-        jitter_ns=200_000_000, jitter_percent=20.0)
+    return ScenarioResult(
+        scenario="x", title="Figure X", kind="determinism",
+        kernel_name="test-kernel", seed=0, recorder=rec,
+        ideal_ns=1_000_000_000)
 
 
 @pytest.fixture
@@ -34,9 +33,8 @@ def lat_result():
     rec = LatencyRecorder("l")
     for v in (10_000, 20_000, 500_000, 5_000_000):
         rec.record_latency(v)
-    return LatencyResult(figure="Figure Y", kernel_name="test-kernel",
-                         recorder=rec, max_ns=5_000_000,
-                         mean_ns=1_382_500.0, min_ns=10_000)
+    return ScenarioResult(scenario="y", title="Figure Y", kind="latency",
+                          kernel_name="test-kernel", seed=0, recorder=rec)
 
 
 class TestDeterminismExport:
@@ -54,13 +52,13 @@ class TestDeterminismExport:
 
 class TestLatencyExport:
     def test_fields(self, lat_result):
-        data = latency_to_dict(lat_result, thresholds_ms=[0.1, 1.0, 10.0])
+        data = latency_to_dict(lat_result)
         assert data["samples"] == 4
+        assert data["min_us"] == 10.0
+        assert data["mean_us"] == 1_382.5
         assert data["max_us"] == 5_000.0
-        cumulative = {c["below_ms"]: c["fraction"]
-                      for c in data["cumulative"]}
-        assert cumulative[0.1] == pytest.approx(0.5)
-        assert cumulative[10.0] == pytest.approx(1.0)
+        assert set(data) == {"figure", "kernel", "seed", "samples",
+                             "min_us", "mean_us", "max_us", "histogram"}
 
     def test_histogram_only_occupied_bins(self, lat_result):
         data = latency_to_dict(lat_result)

@@ -7,14 +7,11 @@ in what order, within what bounds.  The full-scale numbers live in the
 benchmarks and EXPERIMENTS.md.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.configs.kernels import redhawk_1_4, vanilla_2_4_21
-from repro.experiments.determinism import run_determinism
-from repro.experiments.interrupt_response import (
-    run_rcim_experiment,
-    run_rtc_experiment,
-)
+from repro.experiments.scenario import run_named, run_scenario, scenario
 
 # Scaled-down parameters: ~200 ms loops, a handful of iterations.
 LOOP_NS = 200_000_000
@@ -22,22 +19,17 @@ ITERS = 5
 SAMPLES = 3_000
 
 
+def _short_loop(name):
+    """A catalogue determinism figure with the ~200 ms loop."""
+    spec = scenario(name).configured(iterations=ITERS, seed=7)
+    return replace(spec, measurement=replace(spec.measurement,
+                                             loop_ns=LOOP_NS))
+
+
 @pytest.fixture(scope="module")
 def determinism_results():
-    results = {}
-    results["fig1"] = run_determinism(vanilla_2_4_21, hyperthreading=True,
-                                      shielded=False, iterations=ITERS,
-                                      loop_ns=LOOP_NS, seed=7)
-    results["fig2"] = run_determinism(redhawk_1_4, hyperthreading=False,
-                                      shielded=True, iterations=ITERS,
-                                      loop_ns=LOOP_NS, seed=7)
-    results["fig3"] = run_determinism(redhawk_1_4, hyperthreading=False,
-                                      shielded=False, iterations=ITERS,
-                                      loop_ns=LOOP_NS, seed=7)
-    results["fig4"] = run_determinism(vanilla_2_4_21, hyperthreading=False,
-                                      shielded=False, iterations=ITERS,
-                                      loop_ns=LOOP_NS, seed=7)
-    return results
+    return {name: run_scenario(_short_loop(name))
+            for name in ("fig1", "fig2", "fig3", "fig4")}
 
 
 class TestDeterminismOrdering:
@@ -45,27 +37,27 @@ class TestDeterminismOrdering:
 
     def test_shielded_cpu_most_deterministic(self, determinism_results):
         r = determinism_results
-        assert r["fig2"].jitter_percent < r["fig3"].jitter_percent
-        assert r["fig2"].jitter_percent < r["fig4"].jitter_percent
-        assert r["fig2"].jitter_percent < r["fig1"].jitter_percent
+        assert r["fig2"].jitter_percent() < r["fig3"].jitter_percent()
+        assert r["fig2"].jitter_percent() < r["fig4"].jitter_percent()
+        assert r["fig2"].jitter_percent() < r["fig1"].jitter_percent()
 
     def test_hyperthreading_is_the_worst_case(self, determinism_results):
         r = determinism_results
-        assert r["fig1"].jitter_percent > r["fig4"].jitter_percent
-        assert r["fig1"].jitter_percent > r["fig3"].jitter_percent
+        assert r["fig1"].jitter_percent() > r["fig4"].jitter_percent()
+        assert r["fig1"].jitter_percent() > r["fig3"].jitter_percent()
 
     def test_shielded_jitter_within_paper_band(self, determinism_results):
         # Paper: 1.87%.  Accept anything clearly small.
-        assert determinism_results["fig2"].jitter_percent < 5.0
+        assert determinism_results["fig2"].jitter_percent() < 5.0
 
     def test_unshielded_jitter_substantial(self, determinism_results):
         # Paper: 13-15%.
-        assert determinism_results["fig3"].jitter_percent > 5.0
-        assert determinism_results["fig4"].jitter_percent > 5.0
+        assert determinism_results["fig3"].jitter_percent() > 5.0
+        assert determinism_results["fig4"].jitter_percent() > 5.0
 
     def test_ht_jitter_band(self, determinism_results):
         # Paper: 26.17%.
-        assert 12.0 < determinism_results["fig1"].jitter_percent < 60.0
+        assert 12.0 < determinism_results["fig1"].jitter_percent() < 60.0
 
     def test_ideal_close_to_loop_time(self, determinism_results):
         for result in determinism_results.values():
@@ -79,27 +71,23 @@ class TestDeterminismOrdering:
 
 @pytest.fixture(scope="module")
 def rtc_results():
-    return {
-        "fig5": run_rtc_experiment(vanilla_2_4_21, shielded=False,
-                                   samples=SAMPLES, seed=7),
-        "fig6": run_rtc_experiment(redhawk_1_4, shielded=True,
-                                   samples=SAMPLES, seed=7),
-    }
+    return {name: run_named(name, samples=SAMPLES, seed=7)
+            for name in ("fig5", "fig6")}
 
 
 class TestInterruptResponseOrdering:
     """Figures 5-7."""
 
     def test_shielded_redhawk_beats_vanilla_worst_case(self, rtc_results):
-        assert rtc_results["fig6"].max_ns < rtc_results["fig5"].max_ns
+        assert rtc_results["fig6"].max_ns() < rtc_results["fig5"].max_ns()
 
     def test_vanilla_tail_exceeds_a_millisecond(self, rtc_results):
         """The headline claim: stock 2.4 cannot guarantee 1 ms."""
-        assert rtc_results["fig5"].max_ns > 1_000_000
+        assert rtc_results["fig5"].max_ns() > 1_000_000
 
     def test_shielded_worst_case_sub_millisecond(self, rtc_results):
         """The title claim: sub-millisecond response on a shield."""
-        assert rtc_results["fig6"].max_ns < 1_000_000
+        assert rtc_results["fig6"].max_ns() < 1_000_000
 
     def test_both_mostly_fast(self, rtc_results):
         # Even vanilla answers most interrupts quickly (paper: 99.1%).
@@ -114,19 +102,18 @@ class TestInterruptResponseOrdering:
 class TestRcimExperiment:
     def test_rcim_guarantee_tens_of_microseconds(self):
         """Figure 7: <30 us worst case on the full RedHawk stack."""
-        result = run_rcim_experiment(redhawk_1_4, samples=SAMPLES, seed=7)
-        assert result.max_ns < 40_000            # paper: 27 us
-        assert 3_000 < result.min_ns < 20_000    # paper: 11 us
-        assert result.mean_ns < 25_000           # paper: 11.3 us
+        result = run_named("fig7", samples=SAMPLES, seed=7)
+        assert result.max_ns() < 40_000            # paper: 27 us
+        assert 3_000 < result.min_ns() < 20_000    # paper: 11 us
+        assert result.mean_ns() < 25_000           # paper: 11.3 us
 
     def test_rcim_beats_rtc_path(self):
         """The ioctl+mapped-register path must beat read(/dev/rtc):
         the comparison motivating the second experiment."""
-        rcim = run_rcim_experiment(redhawk_1_4, samples=SAMPLES, seed=7)
-        rtc = run_rtc_experiment(redhawk_1_4, shielded=True,
-                                 samples=SAMPLES, seed=7)
+        rcim = run_named("fig7", samples=SAMPLES, seed=7)
+        rtc = run_named("fig6", samples=SAMPLES, seed=7)
         # Compare direct fire-to-return worst cases is not possible for
         # realfeel (it measures deltas), so compare the guarantee:
         # RCIM's max observed response stays an order of magnitude
         # below the millisecond bound.
-        assert rcim.max_ns < 50_000
+        assert rcim.max_ns() < 50_000

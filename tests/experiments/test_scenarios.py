@@ -103,14 +103,6 @@ class TestRunScenario:
         b = run_named("fig7", samples=150, seed=2)
         assert list(a.recorder.samples) != list(b.recorder.samples)
 
-    def test_registry_run_matches_legacy_wrapper(self):
-        from repro.experiments.interrupt_response import run_fig7_rcim
-
-        legacy = run_fig7_rcim(samples=150, seed=4)
-        registry = run_named("fig7", samples=150, seed=4)
-        assert list(legacy.recorder.samples) == list(
-            registry.recorder.samples)
-
     def test_fbs_scenario_reports_cycle_details(self):
         result = run_named("fbs-shielded", seed=2,
                            duration_ns=200_000_000)

@@ -153,6 +153,23 @@ class TestJournal:
         fresh.recover()
         assert [r.job_id for r in fresh.records()] == ["good"]
 
+    @pytest.mark.parametrize("body", [
+        [1, 2], "x", 7, None,
+        {"artifact": "s"},   # an artifact that is not an object
+        {"seq": {}},         # a seq that is not a number
+    ], ids=["list", "string", "number", "null", "artifact", "seq"])
+    def test_json_that_is_not_a_record_is_skipped(self, tmp_path, body):
+        root = str(tmp_path / "journal")
+        queue = JobQueue(capacity=8, journal=JobJournal(root))
+        queue.submit(fig_spec(1), "good")
+        if isinstance(body, dict):
+            body = {"id": "bad", "spec": fig_spec(2).to_dict(), **body}
+        with open(os.path.join(root, "bad.json"), "w") as fh:
+            json.dump(body, fh)
+        fresh = JobQueue(capacity=8, journal=JobJournal(root))
+        assert [r.job_id for r in fresh.recover()] == ["good"]
+        assert [r.job_id for r in fresh.records()] == ["good"]
+
     def test_journal_files_are_valid_json(self, tmp_path):
         journal = JobJournal(str(tmp_path / "journal"))
         queue = JobQueue(capacity=8, journal=journal)
