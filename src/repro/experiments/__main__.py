@@ -1376,6 +1376,13 @@ def _cmd_run(argv) -> int:
                         help="write a Chrome trace-event JSON here "
                              "(implies --trace)")
     args = parser.parse_args(argv)
+    # run_one's refusal lists the figures and 'all', which suit the
+    # bare form only: this form takes any registered scenario.
+    try:
+        scenario(args.scenario)
+    except UnknownScenarioError:
+        raise SystemExit(f"unknown scenario {args.scenario!r} "
+                         f"(use 'list-scenarios')")
     failures = 0
     if args.lint:
         failures += _run_lint()

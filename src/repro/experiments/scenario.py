@@ -479,9 +479,14 @@ def run_scenario(spec: ScenarioSpec,
         trace=trace_report,
         faults=fault_ctl.report() if fault_ctl is not None else None,
     )
-    if tracer is not None and getattr(tracer.config, "record", False):
-        from repro.observe.diff.recording import attach_recording
-        attach_recording(tracer, spec, result)
+    if tracer is not None:
+        if tracer.config.record:
+            from repro.observe.diff.recording import attach_recording
+            attach_recording(tracer, spec, result)
+        # The bench is a reference cycle, so its rings would keep every
+        # row alive until a full collection.  Empty them now: a
+        # recording's rows then die with its body.
+        tracer.tp.clear()
     return result
 
 

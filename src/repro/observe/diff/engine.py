@@ -31,7 +31,7 @@ recordings render as an empty diff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.observe.diff.align import (
     align_spans,
@@ -248,6 +248,28 @@ def _accounting_deltas(a: TraceRecording,
     return deltas
 
 
+def _events_equal(a: Sequence[Sequence[Any]],
+                  b: Sequence[Sequence[Any]]) -> bool:
+    """Whether two event streams hold the same rows by value.
+
+    A fresh recording's rows are the rings' tuples and a loaded one's
+    are JSON lists; a tuple never equals a list, so a fresh/loaded
+    pair is compared field by field instead of with ``==``.
+    """
+    if len(a) != len(b):
+        return False
+    if not a or type(a[0]) is type(b[0]):
+        return a == b
+    return all(map(_row_equal, a, b))
+
+
+def _row_equal(ra: Sequence[Any], rb: Sequence[Any]) -> bool:
+    """One ``(time, cpu, code, args)`` row against another, either form."""
+    return (len(ra) == len(rb) == 4
+            and ra[0] == rb[0] and ra[1] == rb[1] and ra[2] == rb[2]
+            and tuple(ra[3]) == tuple(rb[3]))
+
+
 def diff_recordings(a: TraceRecording, b: TraceRecording,
                     a_label: str = "A",
                     b_label: str = "B") -> TraceDiff:
@@ -298,7 +320,8 @@ def diff_recordings(a: TraceRecording, b: TraceRecording,
     if first_index is not None:
         diff.first = _first_divergence(a, b, first_index)
     diff.accounting_deltas = _accounting_deltas(a, b)
-    diff.events_equal = a.events == b.events and a.dropped == b.dropped
+    diff.events_equal = (_events_equal(a.events, b.events)
+                         and a.dropped == b.dropped)
 
     diff.identical = (first_index is None
                       and diff.unpaired_a == 0

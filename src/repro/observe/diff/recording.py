@@ -8,9 +8,13 @@ recorded sample, with any bookkeeping residue folded into the
 ``other`` bucket so every row sums to its latency **exactly** (the
 invariant the diff engine's bucket-delta closure rests on).
 
-The body is plain JSON-able data, so recordings cross process
-boundaries (campaign workers pickle them on ``ScenarioResult.trace``)
-and persist as ``RTRACE1`` entries -- either as standalone files
+The body is JSON-able data, so recordings cross process boundaries
+(campaign workers pickle them on ``ScenarioResult.trace``) and persist
+as ``RTRACE1`` entries.  A fresh body's event rows are the tracepoint
+rings' own ``(time, cpu, code, args)`` tuples; a loaded body holds the
+same rows as JSON lists.  JSON encodes a tuple exactly as a list, so
+both forms have one digest and one frame, and the diff engine compares
+rows by value.  Entries are stored either as standalone files
 (:meth:`TraceRecording.save` / :meth:`TraceRecording.load`) or in a
 content-addressed :class:`~repro.store.store.ResultStore` keyed by
 :func:`~repro.store.keys.recording_key`.
@@ -26,7 +30,7 @@ mechanism terms instead of a CRC mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.store.entry import (StoreCorruptError, decode_recording,
                                encode_recording)
@@ -64,9 +68,10 @@ class TraceRecording:
     iterations: int
     capacity: int
     code: str
-    #: Tracepoint stream: ``[time, cpu, tp, [args...]]`` rows, merged
-    #: across CPUs and time-ordered (ties by CPU index).
-    events: List[List[Any]] = field(default_factory=list)
+    #: Tracepoint stream: ``(time, cpu, tp, (args...))`` rows, merged
+    #: across CPUs and time-ordered (ties by CPU index).  Tuples when
+    #: fresh from a run, lists when loaded from JSON.
+    events: List[Sequence[Any]] = field(default_factory=list)
     dropped: int = 0
     accounting: Dict[str, Any] = field(default_factory=dict)
     #: Attribution timeline: ``[end, latency, {bucket: ns}]`` rows in
@@ -214,10 +219,9 @@ def recording_from_run(tracer: Any, spec: Any,
     and kernel description).
     """
     tp = tracer.tp
-    # Body rows are JSON lists: a body holding tuples would not equal
-    # its own loaded copy, and the diff engine compares the two.
-    events = [[time, cpu, code, list(args)]
-              for time, cpu, code, args in tp.events()]
+    # Body rows are the rings' own tuples, not copies: they encode to
+    # the same JSON as lists, and the diff engine compares by value.
+    events = tp.events()
     samples = [[int(end), int(latency), _fold_residue(latency, breakdown)]
                for end, latency, breakdown in tracer.engine.samples]
     faults = None

@@ -88,7 +88,7 @@ Row = Tuple[int, int, int, Tuple[Any, ...]]
  _TIMER_TICK, _SYSCALL_ENTRY, _SYSCALL_EXIT, _FRAME_PUSH, _FRAME_POP,
  _LATENCY_SAMPLE, _TASK_CREATE, _FAULT_INJECT) = map(int, TP)
 
-_TIME_THEN_CPU = itemgetter(0, 1)
+_TIME = itemgetter(0)
 
 
 class TraceListener:
@@ -192,14 +192,15 @@ class Tracepoints:
     def events(self) -> List[Row]:
         """All buffered rows merged across CPUs, time-ordered.
 
-        The sort is stable, so ties keep CPU index then intra-ring
-        order (each ring is already monotone): the merge is
-        deterministic.
+        The rings are concatenated in CPU order and a row's ``cpu`` is
+        its ring's index, so a stable sort on time alone keeps ties in
+        CPU index then intra-ring order (each ring is already
+        monotone): the merge is deterministic.
         """
         merged: List[Row] = []
         for ring in self.rings:
             merged.extend(ring)
-        merged.sort(key=_TIME_THEN_CPU)
+        merged.sort(key=_TIME)
         return merged
 
     def hit_counts(self) -> dict:

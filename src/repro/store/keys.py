@@ -50,10 +50,13 @@ def canonical_json(value: Any) -> str:
     """The canonical JSON text of *value*: what every store key hashes.
 
     Mapping keys must be strings: ``sort_keys`` would order int keys
-    numerically and reject a mix of key types.
+    numerically and reject a mix of key types.  The encoder keeps no
+    table of the containers it is inside (the text is the same), so a
+    self-referencing container raises ``RecursionError`` where json
+    raises ``ValueError``.
     """
     return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      default=_non_json)
+                      default=_non_json, check_circular=False)
 
 
 def digest_of(value: Any) -> str:

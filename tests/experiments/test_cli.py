@@ -27,6 +27,22 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    def test_unknown_figure_message_lists_the_figures(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig99"])
+        assert exc.value.code == (
+            "unknown figure 'fig99'; choose from ['fig1', 'fig2', 'fig3', "
+            "'fig4', 'fig5', 'fig6', 'fig7'] or 'all' "
+            "(or use 'list-scenarios')")
+
+    @pytest.mark.parametrize("name", ["all", "fig99"])
+    def test_run_form_refuses_without_offering_all(self, name):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", name, "--iterations", "1", "--samples", "10"])
+        # A string code is printed to stderr and exits with status 1.
+        assert exc.value.code == (f"unknown scenario {name!r} "
+                                  f"(use 'list-scenarios')")
+
     def test_figure_tables_cover_all_seven(self):
         assert set(DETERMINISM) == {"fig1", "fig2", "fig3", "fig4"}
         assert set(LATENCY) == {"fig5", "fig6", "fig7"}

@@ -108,12 +108,12 @@ class TestRcimExperiment:
         assert result.mean_ns() < 25_000           # paper: 11.3 us
 
     def test_rcim_beats_rtc_path(self):
-        """The ioctl+mapped-register path must beat read(/dev/rtc):
-        the comparison motivating the second experiment."""
+        """The RCIM path's worst response stays under 50 us, an order of
+        magnitude below the 1 ms bound of the read(/dev/rtc) path.
+
+        No fig6 run is compared: realfeel (fig6) measures the gaps
+        between interrupts, not response time, so its maximum is not
+        comparable with fig7's.
+        """
         rcim = run_named("fig7", samples=SAMPLES, seed=7)
-        rtc = run_named("fig6", samples=SAMPLES, seed=7)
-        # Compare direct fire-to-return worst cases is not possible for
-        # realfeel (it measures deltas), so compare the guarantee:
-        # RCIM's max observed response stays an order of magnitude
-        # below the millisecond bound.
         assert rcim.max_ns() < 50_000

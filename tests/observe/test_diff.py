@@ -8,6 +8,7 @@ from repro.experiments.scenario import scenario
 from repro.faults import TwinDiffSpec, run_twin_diff
 from repro.observe.diff import (
     TraceDiffError,
+    TraceRecording,
     diff_recordings,
     record_scenario,
 )
@@ -44,6 +45,38 @@ class TestIdentical:
         dump_b = json.dumps(diff_recordings(_record(), _record())
                             .to_dict(), sort_keys=True)
         assert dump_a == dump_b
+
+
+    def test_fresh_and_loaded_copies_are_identical(self, tmp_path):
+        # A fresh body holds the rings' tuples, a loaded one JSON lists.
+        fresh = _record()
+        path = str(tmp_path / "fig6.rtrace")
+        fresh.save(path)
+        loaded = TraceRecording.load(path)
+        assert type(fresh.events[0]) is tuple
+        assert type(loaded.events[0]) is list
+        assert diff_recordings(fresh, loaded).identical
+        assert diff_recordings(loaded, fresh).identical
+
+    @pytest.mark.parametrize("change", ["arg", "time"])
+    def test_one_changed_loaded_row_breaks_event_equality(
+            self, change, tmp_path):
+        fresh = _record()
+        path = str(tmp_path / "fig6.rtrace")
+        fresh.save(path)
+        loaded = TraceRecording.load(path)
+        row = next(row for row in loaded.events[len(loaded.events) // 2:]
+                   if row[3])
+        if change == "time":
+            row[0] += 1
+        elif isinstance(row[3][0], str):
+            row[3][0] += "!"
+        else:
+            row[3][0] += 1
+        for diff in (diff_recordings(fresh, loaded),
+                     diff_recordings(loaded, fresh)):
+            assert not diff.events_equal
+            assert not diff.identical
 
 
 class TestComparability:

@@ -1,9 +1,12 @@
 """Trace recordings: capture, exact closure, persistence, ring wrap."""
 
+import gc
+import hashlib
 import json
 import os
 import sys
 import threading
+import types
 
 import pytest
 
@@ -19,7 +22,8 @@ from repro.observe.diff import (
     spec_for_recording,
 )
 from repro.observe.tracer import TraceConfig
-from repro.store import decode_recording, digest_of, encode_recording
+from repro.store import (canonical_json, decode_recording, digest_of,
+                         encode_recording)
 
 
 def _spec(samples=40, **kw):
@@ -59,7 +63,10 @@ class TestCapture:
 
     def test_body_is_json_plain(self, fig6_rec):
         body = fig6_rec.to_body()
-        assert json.loads(json.dumps(body)) == body
+        loaded = json.loads(json.dumps(body))
+        assert canonical_json(loaded) == canonical_json(body)
+        assert diff_recordings(TraceRecording.from_body(loaded),
+                               fig6_rec).identical
 
     def test_faults_summary_rides_on_storm_recordings(self):
         spec = scenario("storm-fig6").configured(samples=30, seed=1)
@@ -74,7 +81,9 @@ class TestPersistence:
         path = str(tmp_path / "fig6.rtrace")
         fig6_rec.save(path)
         back = TraceRecording.load(path)
-        assert back.to_body() == fig6_rec.to_body()
+        assert (canonical_json(back.to_body())
+                == canonical_json(fig6_rec.to_body()))
+        assert diff_recordings(back, fig6_rec).identical
 
     def test_corrupt_file_raises_recording_error(self, fig6_rec,
                                                  tmp_path):
@@ -135,7 +144,10 @@ class TestPersistence:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert TraceRecording.load(path).to_body() == fig6_rec.to_body()
+        back = TraceRecording.load(path)
+        assert (canonical_json(back.to_body())
+                == canonical_json(fig6_rec.to_body()))
+        assert diff_recordings(back, fig6_rec).identical
         assert os.listdir(tmp_path) == ["fig6.rtrace"]
 
     def test_unsupported_format_rejected(self, fig6_rec):
@@ -288,3 +300,50 @@ class TestRingWrap:
         diff = diff_recordings(rec_a, rec_b)
         assert diff.identical
         assert diff.latency_delta_ns == 0
+
+
+#: ``code`` stands in for the source-tree digest, so the pins below
+#: hold on any tree.
+_PINNED_CODE = "0" * 64
+
+#: (scenario, samples, capacity) -> (digest_of(body), sha256 of the
+#: RTRACE1 frame), seed 1.  A change that moves either one changes the
+#: bytes every recording is stored as.
+_RECORDING_PINS = {
+    ("fig6", 300, 65536): (
+        "9d1127652fec775930dbaaa51630fc191d41605df5028095e638b3d55d32fb54",
+        "360041e7dbc62bef5f7c7eb70562849a01b81fb35bd8bd2839d47a7f87a51879"),
+    # The 4,096-row rings wrap: 8,192 rows kept, 31,802 dropped.
+    ("fig5", 100, 4096): (
+        "0ccd0657c88942f7dd8c0818b9bd1a21edabdf38730f8d6fbeb3372a8ffc7f6b",
+        "64ff58cec74c68016448e8e2e7b7815239939ba473ee18d971eaa0f2cdfb0e20"),
+}
+
+
+class TestRecordingBytes:
+    @pytest.mark.parametrize("name,samples,capacity",
+                             sorted(_RECORDING_PINS))
+    def test_body_digest_and_frame_are_pinned(self, name, samples,
+                                              capacity):
+        spec = scenario(name).configured(samples=samples, seed=1)
+        result = run_scenario(
+            spec, trace=TraceConfig(capacity=capacity, record=True))
+        body = result.trace["recording"]
+        body["code"] = _PINNED_CODE
+        digest = digest_of(body)
+        frame = encode_recording(body, digest, _PINNED_CODE)
+        assert (digest, hashlib.sha256(frame).hexdigest()) \
+            == _RECORDING_PINS[(name, samples, capacity)]
+
+
+class TestRingRelease:
+    def test_body_rows_are_held_by_the_body_alone(self):
+        # run_scenario empties the rings once the recording is built, so
+        # its rows die with the body instead of with the bench's cycle.
+        result = run_scenario(
+            _spec(), trace=TraceConfig(capacity=4096, record=True))
+        events = result.trace["recording"]["events"]
+        row = events[len(events) // 2]
+        holders = [ref for ref in gc.get_referrers(row)
+                   if not isinstance(ref, types.FrameType)]
+        assert len(holders) == 1 and holders[0] is events

@@ -3,6 +3,8 @@
 import gc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.observe import tracepoints
 from repro.observe.tracepoints import (
@@ -103,6 +105,35 @@ class TestTracepoints:
         tp.timer_tick(30, 0)
         ordered = [(row[0], row[1]) for row in tp.events()]
         assert ordered == [(10, 0), (30, 0), (30, 1)]
+
+    def test_merge_keeps_time_cpu_ring_order_across_a_wrap(self):
+        tp = self._tp(ncpus=3, capacity=3)
+        tp.enable()
+        # Equal times on every CPU, emitted highest CPU first, two rows
+        # per (time, cpu); CPU 2's ring wraps and keeps its newest three.
+        for t in (10, 20, 30):
+            for cpu in (2, 1, 0):
+                if cpu == 2 or t == 20:
+                    tp.timer_tick(t, cpu)
+                    tp.softirq_raise(t, cpu, 1)
+        assert tp.dropped() == 3
+        ordered = [row[:3] for row in tp.events()]
+        tick, raise_ = TP.TIMER_TICK, TP.SOFTIRQ_RAISE
+        assert ordered == [
+            (20, 0, tick), (20, 0, raise_), (20, 1, tick), (20, 1, raise_),
+            (20, 2, raise_), (30, 2, tick), (30, 2, raise_)]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 6),
+           emits=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)),
+                          max_size=40))
+    def test_merge_equals_a_sort_on_time_then_cpu(self, capacity, emits):
+        tp = self._tp(ncpus=3, capacity=capacity)
+        tp.enable()
+        for seq, (t, cpu) in enumerate(emits):
+            tp.softirq_raise(t, cpu, seq)
+        rows = [row for ring in tp.rings for row in ring]
+        assert tp.events() == sorted(rows, key=lambda r: (r[0], r[1]))
 
     def test_accounting_updates_are_o1_per_emit(self):
         tp = self._tp()

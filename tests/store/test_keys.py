@@ -8,7 +8,7 @@ from typing import Any
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.scenario import all_scenarios, scenario
@@ -19,10 +19,11 @@ from repro.store import (
     code_version,
     decode_recording,
     digest_of,
+    encode_recording,
     job_key,
     recording_key,
 )
-from repro.store.keys import _CODE_VERSIONS
+from repro.store.keys import _CODE_VERSIONS, _non_json
 
 
 @pytest.fixture
@@ -149,6 +150,28 @@ class TestDigestOracle:
     @given(_TREES)
     def test_json_trees(self, tree):
         assert digest_of(tree) == _walk_digest(tree)
+
+
+class TestNoCircularCheck:
+    """``canonical_json`` skips json's circular-reference table; its
+    text must stay exactly what json writes with the table on."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_TREES)
+    @example({"nan": float("nan"), "inf": [float("inf"), -float("inf")],
+              "\u00e9t\u00e9": ("\u00fcber \u2603", True, 1, 1.0, False, 0),
+              "node": _Node("\u00df", [{"b": (2,), "a": None}])})
+    def test_text_equals_checked_json(self, tree):
+        assert canonical_json(tree) == json.dumps(
+            tree, sort_keys=True, separators=(",", ":"), default=_non_json)
+
+    def test_self_containing_list_raises(self):
+        loop: list = [1]
+        loop.append(loop)
+        with pytest.raises(RecursionError):
+            canonical_json({"x": loop})
+        with pytest.raises(RecursionError):
+            encode_recording({"events": loop}, "k", "c")
 
 
 class TestJobKey:
