@@ -1,9 +1,10 @@
 """Tracked performance microbenchmarks for the simulation core.
 
 The suite measures the discrete-event hot path (one-shot drain,
-periodic-tick throughput, cancel-heavy churn) and two end-to-end
-figure reproductions, then writes ``BENCH_core.json`` so the perf
-trajectory is tracked PR-over-PR.
+periodic-tick throughput, cancel-heavy churn), then writes
+``BENCH_core.json`` so the perf trajectory is tracked PR-over-PR.
+End-to-end figure wall time is perfbench's ``figure`` workload
+(``fig6_s``, ``fig2_s``).
 
 Every microbenchmark runs twice: once against the *current* core
 (:mod:`repro.sim.engine`) and once against a frozen copy of the

@@ -15,7 +15,6 @@ import argparse
 import json
 import platform
 import sys
-import time
 from typing import Any, Dict
 
 from benchmarks.perf.core_bench import (
@@ -79,37 +78,14 @@ def run_microbenches(sizes: Dict[str, int],
     return out
 
 
-def run_figure_benches(samples: int = 10_000,
-                       iterations: int = 10) -> Dict[str, Any]:
-    """End-to-end wall-clock of one latency and one determinism figure."""
-    from repro.experiments.scenario import run_named
-
-    out: Dict[str, Any] = {}
-    for name, kwargs in (("fig6", {"samples": samples}),
-                         ("fig2", {"iterations": iterations})):
-        start = time.perf_counter()
-        result = run_named(name, **kwargs)
-        elapsed = time.perf_counter() - start
-        out[name] = {
-            "params": kwargs,
-            "wall_s": round(elapsed, 3),
-            "recorded_samples": result.recorder.count,
-        }
-    return out
-
-
-def measure(quick: bool = False, repeats: int = 3,
-            skip_figures: bool = False) -> Dict[str, Any]:
+def measure(quick: bool = False, repeats: int = 3) -> Dict[str, Any]:
     sizes = QUICK_SIZES if quick else SIZES
-    data: Dict[str, Any] = {
+    return {
         "schema": 1,
         "python": platform.python_version(),
         "quick": quick,
         "micro": run_microbenches(sizes, repeats=repeats),
     }
-    if not skip_figures:
-        data["figures"] = run_figure_benches()
-    return data
 
 
 def report(data: Dict[str, Any]) -> str:
@@ -119,9 +95,6 @@ def report(data: Dict[str, Any]) -> str:
             f"  {name:<13s} legacy {row['legacy_events_per_sec']:>10,}/s   "
             f"core {row['core_events_per_sec']:>10,}/s   "
             f"speedup {row['speedup']:.2f}x")
-    for name, row in data.get("figures", {}).items():
-        lines.append(f"  {name:<13s} {row['wall_s']:.2f}s wall "
-                     f"({row['params']})")
     return "\n".join(lines)
 
 
@@ -129,7 +102,7 @@ def check(path: str, quick: bool = True) -> int:
     """Re-measure and fail if any gated speedup regressed >20%."""
     with open(path, "r", encoding="utf-8") as fh:
         committed = json.load(fh)
-    fresh = measure(quick=quick, skip_figures=True)
+    fresh = measure(quick=quick)
     print(report(fresh))
     print()
     failed = []
@@ -164,15 +137,12 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="smaller sizes (CI-friendly)")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--skip-figures", action="store_true",
-                        help="microbenchmarks only")
     args = parser.parse_args(argv)
 
     if args.check:
         return check(args.check, quick=True)
 
-    data = measure(quick=args.quick, repeats=args.repeats,
-                   skip_figures=args.skip_figures)
+    data = measure(quick=args.quick, repeats=args.repeats)
     print(report(data))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -192,35 +193,49 @@ def _store_arg(value):
 
 
 def parse_size(text: str) -> int:
-    """Parse a byte budget: plain bytes or K/M/G-suffixed ("512M")."""
-    text = text.strip()
+    """argparse type of ``store gc --max-bytes``: a finite byte budget
+    >= 0, plain or K/M/G-suffixed ("512M")."""
+    number = text.strip()
     multipliers = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
     factor = 1
-    if text and text[-1].upper() in multipliers:
-        factor = multipliers[text[-1].upper()]
-        text = text[:-1]
+    if number and number[-1].upper() in multipliers:
+        factor = multipliers[number[-1].upper()]
+        number = number[:-1]
     try:
-        value = int(float(text) * factor)
+        value = float(number) * factor
     except ValueError:
-        raise ValueError(
-            f"malformed size {text!r} (expected bytes or K/M/G "
-            f"suffix, e.g. 512M)") from None
-    if value < 0:
-        raise ValueError(f"size budget must be >= 0, got {value}")
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite size >= 0 in bytes or with a K/M/G "
+            f"suffix (e.g. 512M), got {text!r}")
+    return int(value)
+
+
+def _days(text: str) -> float:
+    """argparse type of ``store gc --keep-days``: a finite age >= 0, so
+    a typo cannot empty the store."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of days >= 0, got {text!r}")
     return value
 
 
-def _ring_capacity(text: str) -> int:
-    """argparse type of ``--capacity`` on the traced commands: a
-    per-CPU trace ring holds at least one event."""
+def _count(text: str) -> int:
+    """argparse type of every count option -- ``--samples``,
+    ``--iterations`` and a trace ring's ``--capacity``: an integer
+    >= 1, so a run never reports the worst case of no samples."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(
-            f"per-CPU trace ring capacity must be an integer >= 1, "
-            f"got {text!r}")
+            f"must be an integer >= 1, got {text!r}")
     return value
 
 
@@ -266,9 +281,9 @@ def _cmd_campaign(argv) -> int:
                         help="seed list: '1..8' or '1,2,5' (default 1)")
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel worker processes (default 1)")
-    parser.add_argument("--samples", type=int, default=None,
+    parser.add_argument("--samples", type=_count, default=None,
                         help="override latency sample counts")
-    parser.add_argument("--iterations", type=int, default=None,
+    parser.add_argument("--iterations", type=_count, default=None,
                         help="override determinism iteration counts")
     parser.add_argument("--json", default="",
                         help="write the full campaign data here")
@@ -343,10 +358,10 @@ def _cmd_trace(argv) -> int:
                     "accounting, tracepoint hits, latency "
                     "attribution).")
     parser.add_argument("scenario")
-    parser.add_argument("--iterations", type=int, default=15)
-    parser.add_argument("--samples", type=int, default=20_000)
+    parser.add_argument("--iterations", type=_count, default=15)
+    parser.add_argument("--samples", type=_count, default=20_000)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--capacity", type=_ring_capacity, default=65536,
+    parser.add_argument("--capacity", type=_count, default=65536,
                         help="per-CPU trace ring capacity (events)")
     parser.add_argument("--threshold-pct", type=float, default=99.0,
                         help="attribute samples at/above this latency "
@@ -460,8 +475,8 @@ def _cmd_storm(argv) -> int:
                              "plan, else storm-<scenario>)")
     parser.add_argument("--intensity", type=float, default=1.0,
                         help="intensity multiplier on the plan baseline")
-    parser.add_argument("--samples", type=int, default=20_000)
-    parser.add_argument("--iterations", type=int, default=15)
+    parser.add_argument("--samples", type=_count, default=20_000)
+    parser.add_argument("--iterations", type=_count, default=15)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--unshielded", action="store_true",
                         help="strip the scenario's shield so the storm "
@@ -573,7 +588,7 @@ def _cmd_margin(argv) -> int:
                         help="latency bound the shielded config must "
                              "hold, in us (default 1000 = the paper's "
                              "sub-millisecond claim)")
-    parser.add_argument("--samples", type=int, default=6_000)
+    parser.add_argument("--samples", type=_count, default=6_000)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--store", nargs="?", const="", default=None,
@@ -695,10 +710,10 @@ def _cmd_diff_record(argv) -> int:
                     "recording as an RTRACE1 entry (standalone file "
                     "and/or the content-addressed store).")
     parser.add_argument("scenario")
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--iterations", type=int, default=None)
+    parser.add_argument("--samples", type=_count, default=None)
+    parser.add_argument("--iterations", type=_count, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--capacity", type=_ring_capacity, default=65536,
+    parser.add_argument("--capacity", type=_count, default=65536,
                         help="per-CPU trace ring capacity (events)")
     parser.add_argument("--plan", default="",
                         help="fault plan to run under (default: the "
@@ -829,10 +844,10 @@ def _cmd_diff_twin(argv) -> int:
                         help="fault plan (default: the scenario's "
                              "own / storm-<base>)")
     parser.add_argument("--intensity", type=float, default=1.0)
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--iterations", type=int, default=None)
+    parser.add_argument("--samples", type=_count, default=None)
+    parser.add_argument("--iterations", type=_count, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--capacity", type=_ring_capacity, default=65536,
+    parser.add_argument("--capacity", type=_count, default=65536,
                         help="per-CPU trace ring capacity (events)")
     parser.add_argument("--expect-buckets", default="",
                         metavar="B1,B2,...",
@@ -979,10 +994,11 @@ def _cmd_store(argv) -> int:
                             help="remove corrupt entries so the next "
                                  "run recomputes them")
     if action == "gc":
-        parser.add_argument("--keep-days", type=float, default=None,
+        parser.add_argument("--keep-days", type=_days, default=None,
                             help="also drop entries older than this "
                                  "many days")
-        parser.add_argument("--max-bytes", default=None, metavar="N",
+        parser.add_argument("--max-bytes", type=parse_size, default=None,
+                            metavar="N",
                             help="evict least-recently-used entries "
                                  "until the store fits this budget "
                                  "(suffixes K/M/G accepted, e.g. 512M)")
@@ -1028,14 +1044,8 @@ def _cmd_store(argv) -> int:
 
         now_s = time.time()
         max_age_s = args.keep_days * 86_400.0
-    max_bytes = None
-    if args.max_bytes is not None:
-        try:
-            max_bytes = parse_size(args.max_bytes)
-        except ValueError as exc:
-            parser.error(str(exc))
     report = store.gc(max_age_s=max_age_s, now_s=now_s,
-                      max_bytes=max_bytes, dry_run=args.dry_run)
+                      max_bytes=args.max_bytes, dry_run=args.dry_run)
     n = len(report.removed)
     verb = "would remove" if args.dry_run else "removed"
     kinds = ", ".join(f"{kind}={count}"
@@ -1139,8 +1149,8 @@ def _cmd_submit(argv) -> int:
     parser.add_argument("--scenario", default="",
                         help="figure/margin/twin-diff: scenario name")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--iterations", type=int, default=None)
+    parser.add_argument("--samples", type=_count, default=None)
+    parser.add_argument("--iterations", type=_count, default=None)
     parser.add_argument("--fault-plan", default="",
                         help="campaign: run every job under this plan")
     parser.add_argument("--fault-intensity", type=float, default=None)
@@ -1289,9 +1299,9 @@ def _cmd_bounds(argv) -> int:
     parser.add_argument("--check", action="store_true",
                         help="run each scenario and assert observed "
                              "accounting maxima <= static bounds")
-    parser.add_argument("--samples", type=int, default=2_000,
+    parser.add_argument("--samples", type=_count, default=2_000,
                         help="latency samples for --check runs")
-    parser.add_argument("--iterations", type=int, default=6,
+    parser.add_argument("--iterations", type=_count, default=6,
                         help="determinism iterations for --check runs")
     parser.add_argument("--gate", action="store_true",
                         help="fail when a shielded latency scenario's "
@@ -1352,8 +1362,8 @@ def _cmd_run(argv) -> int:
         prog="python -m repro.experiments run",
         description="Run one registered scenario by name.")
     parser.add_argument("scenario")
-    parser.add_argument("--iterations", type=int, default=15)
-    parser.add_argument("--samples", type=int, default=20_000)
+    parser.add_argument("--iterations", type=_count, default=15)
+    parser.add_argument("--samples", type=_count, default=20_000)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--json-dir", default="")
     parser.add_argument("--profile", action="store_true",
@@ -1427,9 +1437,9 @@ def main(argv=None) -> int:
                     "run subcommands).")
     parser.add_argument("figure",
                         help="fig1..fig7, or 'all'")
-    parser.add_argument("--iterations", type=int, default=15,
+    parser.add_argument("--iterations", type=_count, default=15,
                         help="determinism-test iterations (figs 1-4)")
-    parser.add_argument("--samples", type=int, default=20_000,
+    parser.add_argument("--samples", type=_count, default=20_000,
                         help="latency samples (figs 5-7)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--json-dir", default="",

@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
+import re
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -54,6 +55,9 @@ DEFAULT_STORE_DIR = ".repro-store"
 #: Process-wide tmp-file sequence (atomic under the GIL).
 _TMP_SEQ = itertools.count()
 
+#: The pid in a :func:`write_atomic` tmp name, ``<path>.<pid>.<seq>.tmp``.
+_WRITER_TMP = re.compile(r"\.(\d+)\.\d+\.tmp$")
+
 
 def write_atomic(path: str, blob: bytes) -> str:
     """Write *blob* to *path* via a writer-unique tmp + ``os.replace``.
@@ -75,6 +79,22 @@ def write_atomic(path: str, blob: bytes) -> str:
             os.unlink(tmp)
         raise
     return path
+
+
+def _live_writers_tmp(name: str) -> bool:
+    """Whether tmp file *name* is :func:`write_atomic`'s in a process
+    that still runs (``gc`` must leave it, or the writer's
+    ``os.replace`` fails)."""
+    match = _WRITER_TMP.search(name)
+    if match is None:
+        return False
+    try:
+        os.kill(int(match.group(1)), 0)
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:
+        pass                    # alive, owned by another user
+    return True
 
 
 @dataclass
@@ -316,7 +336,8 @@ class ResultStore:
         store bumps an entry's mtime on every hit) until the total
         size fits the budget.  Returns a :class:`GcReport` with the
         removed (or, under *dry_run*, removable) keys, the bytes they
-        occupied and a per-entry-kind breakdown.
+        occupied and a per-entry-kind breakdown.  Tmp files go too,
+        except a :func:`write_atomic` tmp whose pid is a live process.
         """
         keep = keep_code if keep_code is not None else code_version()
         report = GcReport(removed=[], dry_run=dry_run)
@@ -366,7 +387,8 @@ class ResultStore:
         if not dry_run:
             for dirpath, _dirnames, filenames in os.walk(self.root):
                 for name in filenames:
-                    if name.endswith(".tmp"):
+                    if (name.endswith(".tmp")
+                            and not _live_writers_tmp(name)):
                         tmp = os.path.join(dirpath, name)
                         try:
                             report.reclaimed_bytes += os.path.getsize(tmp)

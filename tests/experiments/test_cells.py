@@ -6,9 +6,11 @@ callers rely on.
 """
 
 import concurrent.futures
+import re
 
 import pytest
 
+import repro.experiments.campaign as campaign_module
 from repro.experiments.campaign import CampaignRunner, CampaignSpec
 from repro.experiments.cells import Cell, cell_key, execute_cells
 from repro.experiments.export import campaign_to_dict, to_json
@@ -18,6 +20,10 @@ from repro.store import ResultStore
 
 CAMPAIGN = CampaignSpec(scenarios=("fig7",), seeds=(1, 2, 3, 4),
                         samples=120)
+#: 32 misses on 2 workers run in chunks of 32 // (2 * 8) = 2 cells, so
+#: each landed batch pairs several outcomes with their cells.
+CHUNKED = CampaignSpec(scenarios=("fig7",), seeds=tuple(range(1, 33)),
+                       samples=60)
 MARGIN = MarginSpec(scenario="fig6", plan="storm-fig6",
                     intensities=(0.5, 1.0), samples=200, seed=1)
 
@@ -27,6 +33,36 @@ def fig7_cells(seeds):
     return [Cell(index=i, op="scenario",
                  spec=base.configured(samples=80, seed=seed))
             for i, seed in enumerate(seeds)]
+
+
+_UNINTERRUPTED = {}
+
+
+def uninterrupted(spec):
+    """The export of one serial, store-less run of *spec* (run once)."""
+    key = repr(spec)
+    if key not in _UNINTERRUPTED:
+        _UNINTERRUPTED[key] = to_json(
+            campaign_to_dict(CampaignRunner(spec).run()))
+    return _UNINTERRUPTED[key]
+
+
+def computed_batch_sizes(monkeypatch):
+    """The sizes of the computed batches that reach the ``on_batch``
+    ``CampaignRunner.run`` hands to ``execute_cells``."""
+    sizes = []
+    execute = campaign_module.execute_cells
+
+    def spy(cells, on_batch, **kwargs):
+        def counted(run, batch, cached):
+            if not cached:
+                sizes.append(len(batch))
+            on_batch(run, batch, cached)
+
+        return execute(cells, counted, **kwargs)
+
+    monkeypatch.setattr(campaign_module, "execute_cells", spy)
+    return sizes
 
 
 @pytest.fixture
@@ -42,14 +78,20 @@ class NoPool:
 
 
 class TestWarmRunsBuildNoPool:
-    def test_warm_campaign(self, store, monkeypatch):
-        cold = CampaignRunner(CAMPAIGN, workers=2, store=store).run()
+    @pytest.mark.parametrize("spec, min_batch", [(CAMPAIGN, 1),
+                                                 (CHUNKED, 2)],
+                             ids=["4-cells", "32-cells"])
+    def test_warm_campaign(self, store, monkeypatch, spec, min_batch):
+        sizes = computed_batch_sizes(monkeypatch)
+        cold = CampaignRunner(spec, workers=2, store=store).run()
+        assert max(sizes) >= min_batch
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             NoPool)
-        warm = CampaignRunner(CAMPAIGN, workers=2, store=store).run()
-        assert warm.cache["hits"] == 4 and warm.cache["computed"] == 0
+        warm = CampaignRunner(spec, workers=2, store=store).run()
+        cells = len(spec.seeds)
+        assert warm.cache["hits"] == cells and warm.cache["computed"] == 0
         assert (to_json(campaign_to_dict(warm))
-                == to_json(campaign_to_dict(cold)))
+                == to_json(campaign_to_dict(cold)) == uninterrupted(spec))
 
     def test_warm_margin_ladder(self, store, monkeypatch):
         cold = run_margin(MARGIN, workers=2, store=store)
@@ -99,22 +141,30 @@ class TestBatches:
 
 
 class TestInterruptedPooledCampaign:
-    def test_raising_progress_hook_leaves_a_resumable_prefix(self, store):
-        spec = CampaignSpec(scenarios=("fig7",), seeds=tuple(range(1, 9)),
-                            samples=120)
-
+    @pytest.mark.parametrize("spec, workers", [
+        (CampaignSpec(scenarios=("fig7",), seeds=tuple(range(1, 9)),
+                      samples=120), 4),
+        (CHUNKED, 2),
+    ], ids=["8-cells", "32-cells"])
+    def test_raising_progress_hook_leaves_a_resumable_prefix(
+            self, store, spec, workers):
         class Interrupted(Exception):
             pass
 
+        interrupted_at = []
+
         def hook(message):
-            if message.startswith("campaign: 2/"):
+            # Progress steps by misses // 10: the first line past one
+            # cell reads 2/8 for 8 cells and 3/32 for 32.
+            match = re.match(r"campaign: (\d+)/\d+ computed", message)
+            if match and int(match.group(1)) >= 2:
+                interrupted_at.append(int(match.group(1)))
                 raise Interrupted
 
         with pytest.raises(Interrupted):
-            CampaignRunner(spec, workers=4, store=store,
+            CampaignRunner(spec, workers=workers, store=store,
                            progress=hook).run()
-        resumed = CampaignRunner(spec, workers=4, store=store,
+        resumed = CampaignRunner(spec, workers=workers, store=store,
                                  resume=True, use_cache=False).run()
-        assert resumed.cache["resumed"] >= 2
-        assert (to_json(campaign_to_dict(resumed))
-                == to_json(campaign_to_dict(CampaignRunner(spec).run())))
+        assert resumed.cache["resumed"] >= interrupted_at[0]
+        assert to_json(campaign_to_dict(resumed)) == uninterrupted(spec)

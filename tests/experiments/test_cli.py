@@ -63,3 +63,33 @@ class TestTraceCapacity:
         assert exc.value.code == 2
         assert "argument --capacity:" in capsys.readouterr().err
         assert not (tmp_path / "x.rtrace").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["fig7"], "--samples"),
+        (["fig2"], "--iterations"),
+        (["run", "fig7"], "--samples"),
+        (["run", "fig2"], "--iterations"),
+        (["trace", "fig6"], "--samples"),
+        (["faults", "storm", "fig6"], "--samples"),
+        (["faults", "margin", "fig6"], "--samples"),
+        (["diff", "record", "fig6", "--out", "x.rtrace"], "--samples"),
+        (["diff", "twin", "storm-fig6"], "--samples"),
+        (["bounds", "--check", "fig7"], "--samples"),
+        (["bounds", "--check", "fig2"], "--iterations"),
+        (["campaign", "--scenarios", "fig7", "--seeds", "1"], "--samples"),
+        # An address nothing listens on: the refusal comes first.
+        (["submit", "figure", "--scenario", "fig7",
+          "--server", "http://127.0.0.1:9"], "--samples"),
+    ], ids=["bare", "bare-iterations", "run", "run-iterations", "trace",
+            "storm", "margin", "diff-record", "diff-twin", "bounds",
+            "bounds-iterations", "campaign", "submit"])
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_count_below_one_exits_2_naming_the_flag(
+            self, argv, flag, count, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, count])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be an integer >= 1" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "x.rtrace").exists()

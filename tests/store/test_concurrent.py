@@ -100,13 +100,14 @@ class TestConcurrentWriters:
         assert (ok, corrupt) == (1, [])
         assert store.get(key) is not None
 
-    def test_interrupted_writer_leaves_only_tmp(self, tmp_path, run):
+    def test_interrupted_writer_leaves_only_tmp(self, tmp_path, run,
+                                                dead_pid):
         """A writer that dies before os.replace leaves an orphan tmp
         that gc sweeps; the entry itself is untouched."""
         spec, result, key = run
         store = ResultStore(str(tmp_path / "store"))
         store.put(key, result, "codeX")
-        orphan = store.path_for(key) + f".{os.getpid()}.99.tmp"
+        orphan = store.path_for(key) + f".{dead_pid}.99.tmp"
         with open(orphan, "wb") as fh:
             fh.write(b"half-written")
         report = store.gc(keep_code="codeX")

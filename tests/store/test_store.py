@@ -4,8 +4,10 @@ import os
 
 import pytest
 
+from repro.experiments.__main__ import main
 from repro.experiments.scenario import run_scenario, scenario
 from repro.store import ResultStore, job_key, open_store
+from repro.store.keys import code_version
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +136,18 @@ class TestGc:
         assert not os.path.exists(orphan)
         assert report.tmp_swept == 1
 
+    def test_gc_keeps_a_live_writers_tmp(self, store, key, result,
+                                         dead_pid):
+        store.put(key, result, code="current")
+        live = store.path_for(key) + f".{os.getpid()}.7.tmp"
+        dead = store.path_for(key) + f".{dead_pid}.7.tmp"
+        for path in (live, dead):
+            with open(path, "wb") as fh:
+                fh.write(b"half-written")
+        report = store.gc(keep_code="current")
+        assert os.path.exists(live) and not os.path.exists(dead)
+        assert report.tmp_swept == 1
+
     def test_ls_and_stats(self, store, key, result):
         store.put(key, result, code="c")
         entries = list(store.ls())
@@ -145,6 +159,31 @@ class TestGc:
         stats = store.stats()
         assert stats["entries"] == 1
         assert stats["bytes"] == size
+
+
+class TestGcCli:
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-bytes", "inf"), ("--max-bytes", "1e400"),
+        ("--max-bytes", "nan"), ("--max-bytes", "-1"),
+        ("--max-bytes", "12Q"), ("--keep-days", "-1"),
+        ("--keep-days", "nan"), ("--keep-days", "inf"),
+    ])
+    def test_malformed_budget_exits_2_and_leaves_the_store(
+            self, store, key, result, flag, value, capsys):
+        store.put(key, result, code=code_version())
+        with pytest.raises(SystemExit) as exc:
+            main(["store", "gc", "--store", store.root, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert store.contains(key)
+
+    def test_valid_budgets_keep_a_fresh_entry(self, store, key, result,
+                                              capsys):
+        store.put(key, result, code=code_version())
+        assert main(["store", "gc", "--store", store.root,
+                     "--keep-days", "30", "--max-bytes", "1G"]) == 0
+        assert "gc: removed 0 entries" in capsys.readouterr().out
+        assert store.contains(key)
 
 
 class TestJournal:
