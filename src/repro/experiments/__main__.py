@@ -227,8 +227,9 @@ def _days(text: str) -> float:
 
 def _count(text: str) -> int:
     """argparse type of every count option -- ``--samples``,
-    ``--iterations`` and a trace ring's ``--capacity``: an integer
-    >= 1, so a run never reports the worst case of no samples."""
+    ``--iterations``, ``--workers``, ``--capacity`` and
+    ``--parallel-jobs``: an integer >= 1.  No samples have no worst
+    case, and no workers, queue slots or job slots run no job."""
     try:
         value = int(text)
     except ValueError:
@@ -279,7 +280,7 @@ def _cmd_campaign(argv) -> int:
                              "list-scenarios)")
     parser.add_argument("--seeds", default="1",
                         help="seed list: '1..8' or '1,2,5' (default 1)")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_count, default=1,
                         help="parallel worker processes (default 1)")
     parser.add_argument("--samples", type=_count, default=None,
                         help="override latency sample counts")
@@ -590,7 +591,7 @@ def _cmd_margin(argv) -> int:
                              "sub-millisecond claim)")
     parser.add_argument("--samples", type=_count, default=6_000)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=_count, default=1)
     parser.add_argument("--store", nargs="?", const="", default=None,
                         metavar="DIR",
                         help="reuse/persist ladder cells through the "
@@ -1080,12 +1081,12 @@ def _cmd_serve(argv) -> int:
     parser.add_argument("--port", type=int, default=8642,
                         help="listen port (default 8642; 0 for "
                              "ephemeral)")
-    parser.add_argument("--workers", type=int, default=2,
+    parser.add_argument("--workers", type=_count, default=2,
                         help="process-pool size for cache misses")
-    parser.add_argument("--capacity", type=int, default=64,
+    parser.add_argument("--capacity", type=_count, default=64,
                         help="max live (queued+running) jobs before "
                              "submissions get 429")
-    parser.add_argument("--parallel-jobs", type=int, default=2,
+    parser.add_argument("--parallel-jobs", type=_count, default=2,
                         help="jobs executed concurrently")
     args = parser.parse_args(argv)
 

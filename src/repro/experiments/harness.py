@@ -81,8 +81,18 @@ class Bench:
 
     def run_until_done(self, test, limit_ns: int,
                        chunk_ns: int = 250 * MSEC,
-                       strict_limit: bool = False) -> None:
+                       strict_limit: bool = False,
+                       stop_at_finish: bool = False) -> None:
         """Advance in chunks until *test.finished* or the time limit.
+
+        *test.finished* is checked between chunks, so by default the
+        run ends at the end of the chunk in which the test finished:
+        the span that observers attached to the bench (a tracer's
+        recording, lockdep, a fault controller's summary) cover.
+        *stop_at_finish* ends it instead right after the event that
+        finished the test, with the clock at that event's time (see
+        :meth:`~repro.sim.engine.Simulator.run_until`); the test's
+        recorder is complete by then, so its results are the same.
 
         If the event heap drains while the test is still unfinished the
         simulation can never progress again; rather than silently
@@ -106,7 +116,8 @@ class Bench:
                     f"({deadline - sim.now} ns short of its limit); "
                     f"a workload or device stopped scheduling events; "
                     f"pending: {sim.pending_summary()}")
-            sim.run_until(min(deadline, sim.now + chunk_ns))
+            sim.run_until(min(deadline, sim.now + chunk_ns),
+                          until=test if stop_at_finish else None)
         if strict_limit and not test.finished:
             name = getattr(test, "name", type(test).__name__)
             raise SimulationStalledError(

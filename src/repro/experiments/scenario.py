@@ -436,8 +436,14 @@ def run_scenario(spec: ScenarioSpec,
         if drive is not None:
             drive(bench)
         else:
+            # Nothing past the last sample reaches the result, so an
+            # unobserved run stops there; observed runs keep the chunk
+            # end that their reports and recordings cover.
+            observed = (validator is not None or tracer is not None
+                        or fault_ctl is not None)
             bench.run_until_done(program,
-                                 limit_ns=program.estimated_sim_ns())
+                                 limit_ns=program.estimated_sim_ns(),
+                                 stop_at_finish=not observed)
     finally:
         if fault_ctl is not None:
             fault_ctl.uninstall()

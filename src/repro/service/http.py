@@ -334,16 +334,8 @@ async def serve(store_root: str, host: str = "127.0.0.1",
     recovered = queue.recover()
     scheduler = Scheduler(store, queue, workers=workers,
                           parallel_jobs=parallel_jobs)
-    server = ServiceServer(scheduler, host=host, port=port)
-    await server.start()
-    if recovered:
-        say(f"recovered {len(recovered)} unfinished job(s) "
-            f"from the journal")
-    say(f"simserve listening on {server.address} "
-        f"(store {store_root}, {workers} workers, "
-        f"capacity {capacity})")
-
-    loop = asyncio.get_running_loop()
+    # Before the announce line: a client that signals as soon as it
+    # reads that line must get the drain, not the default kill.
     if drain_signals:
         import signal
 
@@ -352,6 +344,7 @@ async def serve(store_root: str, host: str = "127.0.0.1",
                 f"resume with: repro serve --store {store_root})")
             asyncio.ensure_future(scheduler.drain())
 
+        loop = asyncio.get_running_loop()
         for signame in ("SIGTERM", "SIGINT"):
             try:
                 loop.add_signal_handler(
@@ -360,6 +353,14 @@ async def serve(store_root: str, host: str = "127.0.0.1",
             except (NotImplementedError, RuntimeError,
                     ValueError):  # pragma: no cover - non-POSIX
                 pass
+    server = ServiceServer(scheduler, host=host, port=port)
+    await server.start()
+    if recovered:
+        say(f"recovered {len(recovered)} unfinished job(s) "
+            f"from the journal")
+    say(f"simserve listening on {server.address} "
+        f"(store {store_root}, {workers} workers, "
+        f"capacity {capacity})")
     if ready is not None:
         ready(server, scheduler)
 

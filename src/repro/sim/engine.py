@@ -36,14 +36,16 @@ Hot-path design (the perf suite in ``benchmarks/perf`` tracks this):
   :meth:`EventHandle.cancel <repro.sim.events.EventHandle.cancel>` go
   through them.
 * :meth:`Simulator.run`, :meth:`Simulator.run_until` and
-  :meth:`Simulator.step` share one dispatch loop.
+  :meth:`Simulator.step` share one dispatch loop.  Its one per-event
+  test beyond the heap is ``run_until``'s optional *until*, which ends
+  a run at the event that finishes a measurement program.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.observe.tracepoints import Tracepoints
 from repro.sim.errors import SchedulingInPastError, SimulationStalledError
@@ -263,14 +265,18 @@ class Simulator:
         return (f"{len(periodics)} periodic ({shown}); "
                 f"{len(self._handles) - len(periodics)} one-shot")
 
-    def _advance(self, limit: int) -> None:
-        """Fire every event with packed key <= *limit*, in key order."""
+    def _advance(self, limit: int, until: Optional[Any] = None) -> None:
+        """Fire every event with packed key <= *limit*, in key order.
+
+        With *until*, stop early once ``until.finished`` is true,
+        checked before each event.
+        """
         heap = self._heap
         pop = _heappop
         get = self._handles.pop
         fired = 0
         try:
-            while heap:
+            while heap and (until is None or not until.finished):
                 key = pop(heap)
                 if key > limit:
                     _heappush(heap, key)  # not due yet: put it back
@@ -296,15 +302,21 @@ class Simulator:
         self._advance(heap[0])
         return True
 
-    def run_until(self, when: int) -> None:
+    def run_until(self, when: int, until: Optional[Any] = None) -> None:
         """Fire events up to and including time *when*.
 
         The clock is left at *when* even if the last event fired
         earlier; this gives callers a consistent "the simulated world
         has reached t" view.
+
+        *until* is an object with a ``finished`` attribute, normally a
+        measurement program.  Once it reads true the run stops right
+        after the event that set it, before *when*, and the clock stays
+        at that event's time: nothing past the program's last sample is
+        simulated.  If it is already true, nothing fires.
         """
-        self._advance(((when + 1) << SEQ_BITS) - 1)
-        if when > self.now:
+        self._advance(((when + 1) << SEQ_BITS) - 1, until)
+        if when > self.now and (until is None or not until.finished):
             self.now = when
 
     def run(self) -> None:

@@ -80,13 +80,24 @@ class TestTraceCapacity:
         # An address nothing listens on: the refusal comes first.
         (["submit", "figure", "--scenario", "fig7",
           "--server", "http://127.0.0.1:9"], "--samples"),
+        (["campaign", "--scenarios", "fig7", "--seeds", "1"], "--workers"),
+        (["faults", "margin", "fig6"], "--workers"),
+        (["serve"], "--workers"),
+        (["serve"], "--capacity"),
+        (["serve"], "--parallel-jobs"),
     ], ids=["bare", "bare-iterations", "run", "run-iterations", "trace",
             "storm", "margin", "diff-record", "diff-twin", "bounds",
-            "bounds-iterations", "campaign", "submit"])
+            "bounds-iterations", "campaign", "submit", "campaign-workers",
+            "margin-workers", "serve-workers", "serve-capacity",
+            "serve-parallel-jobs"])
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_count_below_one_exits_2_naming_the_flag(
             self, argv, flag, count, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
+
+        def serve(*args, **kwargs):
+            raise AssertionError("a server started despite the count")
+        monkeypatch.setattr("repro.service.http.serve", serve)
         with pytest.raises(SystemExit) as exc:
             main(argv + [flag, count])
         assert exc.value.code == 2

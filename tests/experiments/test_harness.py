@@ -9,6 +9,7 @@ from repro.core.affinity import CpuMask
 from repro.experiments.harness import build_bench
 from repro.hw.machine import determinism_testbed, interrupt_testbed
 from repro.sim.errors import SimulationStalledError
+from repro.sim.simtime import MSEC, SEC
 
 
 class TestBuildBench:
@@ -93,6 +94,23 @@ class TestBuildBench:
         periodic, oneshot = re.search(
             r"pending: (\d+) periodic .*; (\d+) one-shot", message).groups()
         assert int(periodic) + int(oneshot) == pending
+
+    @pytest.mark.parametrize("stop_at_finish, end_ns", [
+        (False, 250 * MSEC), (True, 30 * MSEC)],
+        ids=["chunk-end", "finishing-event"])
+    def test_run_until_done_end(self, stop_at_finish, end_ns):
+        bench = build_bench(vanilla_2_4_21())
+        bench.start_devices()
+
+        class Program:
+            finished = False
+
+        program = Program()
+        bench.sim.at(30 * MSEC, lambda: setattr(program, "finished", True))
+        bench.run_until_done(program, limit_ns=SEC,
+                             stop_at_finish=stop_at_finish)
+        assert program.finished
+        assert bench.sim.now == end_ns
 
     def test_machine_spec_selection(self):
         bench = build_bench(vanilla_2_4_21(),

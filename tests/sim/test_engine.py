@@ -222,6 +222,69 @@ class TestRunModes:
         assert _history(by_run_until) == _history(_by_step)
 
 
+class _Program:
+    finished = False
+
+
+class TestRunUntilFinished:
+    """``run_until(when, until=...)`` stops at the finishing event."""
+
+    def _schedule(self, sim, program):
+        fired = []
+
+        def finish():
+            fired.append(("finish", sim.now))
+            program.finished = True
+
+        sim.at(10, lambda: fired.append(("a", sim.now)))
+        sim.at(20, finish)
+        sim.at(20, lambda: fired.append(("same-time", sim.now)))
+        sim.at(30, lambda: fired.append(("b", sim.now)))
+        return fired
+
+    def test_stops_right_after_the_finishing_event(self, sim):
+        program = _Program()
+        fired = self._schedule(sim, program)
+        sim.run_until(100, until=program)
+        assert fired == [("a", 10), ("finish", 20)]
+        assert sim.now == 20  # not moved on to *when*
+        assert sim.events_pending == 2
+        assert sim.events_fired == 2
+
+    def test_already_finished_fires_nothing(self, sim):
+        program = _Program()
+        program.finished = True
+        fired = self._schedule(sim, program)
+        sim.run_until(100, until=program)
+        assert fired == []
+        assert sim.now == 0
+
+    def test_unfinished_program_runs_to_when(self, sim):
+        fired = self._schedule(sim, _Program())
+        sim.at(200, lambda: fired.append(("late", sim.now)))
+        sim.run_until(100, until=_Program())
+        assert [tag for tag, _ in fired] == ["a", "finish", "same-time",
+                                             "b"]
+        assert sim.now == 100
+
+    def test_resuming_a_stopped_run_matches_an_unstopped_one(self):
+        def finish_at_290(sim, program):
+            sim.at(290, lambda: setattr(program, "finished", True))
+
+        def stopped_then_drained(sim):
+            program = _Program()
+            finish_at_290(sim, program)
+            sim.run_until(1000, until=program)
+            assert sim.now == 290
+            sim.run()
+
+        def drained(sim):
+            finish_at_290(sim, _Program())
+            sim.run()
+
+        assert _history(stopped_then_drained) == _history(drained)
+
+
 class TestEventChaining:
     def test_event_scheduling_more_events(self, sim):
         """Periodic self-rescheduling pattern used by devices."""
