@@ -54,7 +54,7 @@ semantic goldens)::
     python -m repro.experiments diff against fig6.rtrace --gate
     python -m repro.experiments diff twin storm-fig6 \\
         --expect-buckets fault,irq_off
-    python -m repro.experiments diff golden --check
+    python -m repro.experiments diff golden
 
 Prints the paper-format report for the requested figure(s), the
 campaign summary, the trace report (per-CPU accounting + latency
@@ -69,127 +69,79 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
+from repro.experiments.campaign import (
+    check_count,
+    check_int,
+    check_seed,
+    parse_seeds,
+)
 from repro.experiments.scenario import (
     UnknownScenarioError,
     all_scenarios,
     run_scenario,
     scenario,
 )
+from repro.faults.margin import bound_ns_of
+from repro.faults.plan import check_intensity
+from repro.observe.tracer import TraceConfig, check_percentile
+from repro.store import DEFAULT_STORE_DIR, ResultStore
 
 #: The paper's figures, by result family (each a registered scenario).
 DETERMINISM = ("fig1", "fig2", "fig3", "fig4")
 LATENCY = ("fig5", "fig6", "fig7")
 
-SUBCOMMANDS = ("bounds", "campaign", "diff", "faults", "list-scenarios",
-               "run", "serve", "status", "store", "submit", "trace")
+PROG = "python -m repro.experiments"
 
 #: Where `serve` listens and `submit`/`status` connect by default.
 DEFAULT_SERVER = "http://127.0.0.1:8642"
 
 
-def run_one(name: str, iterations: int, samples: int, seed: int,
-            json_dir: str = "", profile: bool = False,
-            lockdep: bool = False, lockdep_strict: bool = False,
-            trace: bool = False, trace_out: str = "") -> int:
-    """Run one registered scenario and print its paper-format report.
+def _argtype(convert):
+    """argparse type from *convert*: a ValueError it raises becomes
+    argparse's ``argument --flag: <message>`` and exit 2.  Checkers
+    get an empty name, because argparse names the flag in front."""
+    def wrapper(text):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
+    return wrapper
 
-    Returns the number of lockdep violations observed (0 when lockdep
-    is off), so callers can turn observations into exit codes.
-    """
-    from repro.experiments.export import scenario_to_dict, to_json
 
+def _checked(check, parse=int):
+    """argparse type of a number flag: *parse* the text and hold the
+    value to *check*, the rule :class:`~repro.service.jobs.JobSpec`
+    and the library apply to the same parameter."""
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = text  # not a number: the checker refuses it as is
+        check(value, "")
+        return value
+    return _argtype(convert)
+
+
+_COUNT = _checked(check_count)
+
+
+@_argtype
+def _intensities(text: str):
+    """argparse type of ``--intensities``: a comma-separated ladder,
+    each rung held to :func:`check_intensity`."""
     try:
-        spec = scenario(name)
-    except UnknownScenarioError:
-        raise SystemExit(f"unknown figure {name!r}; choose from "
-                         f"{[*DETERMINISM, *LATENCY]} or 'all' "
-                         f"(or use 'list-scenarios')")
-    spec = spec.configured(iterations=iterations, samples=samples, seed=seed)
-    ld_config = None
-    if lockdep or lockdep_strict:
-        from repro.analysis.lockdep import LockdepConfig
-
-        ld_config = LockdepConfig(strict=lockdep_strict)
-    t_config = None
-    if trace or trace_out:
-        from repro.observe.tracer import TraceConfig
-
-        t_config = TraceConfig(out=trace_out)
-    profiler = None
-    if profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-    result = run_scenario(spec, lockdep=ld_config, trace=t_config)
-    if profiler is not None:
-        profiler.disable()
-    print(result.report())
-    violations = 0
-    if result.lockdep is not None:
-        from repro.metrics.report import lockdep_violations_table
-
-        violations = len(result.lockdep)
-        print(f"lockdep: {violations} violation"
-              f"{'s' if violations != 1 else ''}")
-        if violations:
-            print(lockdep_violations_table(result.lockdep))
-    if result.trace is not None:
-        from repro.metrics.report import trace_summary
-
-        print(trace_summary(result.trace))
-        if trace_out:
-            print(f"(wrote {trace_out})")
-    if json_dir:
-        import os
-
-        path = os.path.join(json_dir, f"{name}.json")
-        to_json(scenario_to_dict(result), path=path)
-        print(f"(wrote {path})")
-    if profiler is not None:
-        import os
-
-        # The .pstats lands next to the exported JSON (or in the
-        # current directory when no --json-dir was given); inspect it
-        # with `python -m pstats <file>` or snakeviz.
-        stats_path = os.path.join(json_dir or ".", f"{name}.pstats")
-        profiler.dump_stats(stats_path)
-        print(f"(wrote {stats_path})")
-        if result.trace is not None:
-            from repro.metrics.report import tracepoint_hits_table
-
-            print("top tracepoints:")
-            print(tracepoint_hits_table(result.trace["hits"]))
-    print()
-    return violations
-
-
-def _run_lint(paths=("src",)) -> int:
-    """Run the determinism linter; returns the finding count."""
-    from repro.analysis.lint import lint_paths
-
-    findings = lint_paths(paths)
-    for finding in findings:
-        print(finding.render())
-    print(f"lint: {len(findings)} finding"
-          f"{'s' if len(findings) != 1 else ''}")
-    return len(findings)
-
-
-# ----------------------------------------------------------------------
-# Subcommands
-# ----------------------------------------------------------------------
-def _store_arg(value):
-    """Resolve a ``--store [DIR]`` argument: None, "" (default dir) or
-    an explicit path."""
-    if value is None:
-        return None
-    if value == "":
-        from repro.store import DEFAULT_STORE_DIR
-
-        return DEFAULT_STORE_DIR
-    return value
+        values = tuple(float(part) for part in text.split(",")
+                       if part.strip())
+    except ValueError:
+        raise ValueError(f"must be comma-separated numbers, "
+                         f"got {text!r}") from None
+    if not values:
+        raise ValueError(f"must name at least one intensity, got {text!r}")
+    for value in values:
+        check_intensity(value, "")
+    return values
 
 
 def parse_size(text: str) -> int:
@@ -225,19 +177,142 @@ def _days(text: str) -> float:
     return value
 
 
-def _count(text: str) -> int:
-    """argparse type of every count option -- ``--samples``,
-    ``--iterations``, ``--workers``, ``--capacity`` and
-    ``--parallel-jobs``: an integer >= 1.  No samples have no worst
-    case, and no workers, queue slots or job slots run no job."""
+#: Every flag that two or more subcommands share, declared once; its
+#: type is the parameter's range check.  A default here is every
+#: user's, others are stated by the subcommand (:func:`_add`).
+#: ``--store [DIR]`` is an optional cache, ``--store DIR`` the store
+#: a store action or the server works on.  Local, as they mean
+#: something else: ``serve --capacity`` (queue slots) and
+#: ``status --report`` (a switch).
+FLAGS = {
+    "--scenarios": dict(default="", help="comma-separated scenario "
+                        "names (see list-scenarios)"),
+    "--seeds": dict(type=_argtype(parse_seeds),
+                    help="seed list: '1..8' or '1,2,5'"),
+    "--iterations": dict(type=_COUNT,
+                         help="determinism-test iterations (figs 1-4)"),
+    "--samples": dict(type=_COUNT, help="latency samples (figs 5-7)"),
+    "--seed": dict(type=_checked(check_seed), help="random seed"),
+    "--workers": dict(type=_COUNT, default=1,
+                      help="parallel worker processes"),
+    "--json-dir": dict(default="", help="also write <scenario>.json "
+                       "(bounds: <scenario>.bounds.json) files here"),
+    "--json": dict(default="", help="write the JSON result here"),
+    "--profile": dict(action="store_true", help="profile each run under "
+                      "cProfile into <scenario>.pstats beside the JSON"),
+    "--lockdep": dict(action="store_true", help="observe each run with "
+                      "the lockdep invariant checker"),
+    "--lockdep-strict": dict(action="store_true", help="as --lockdep, "
+                             "but panic at the first violation"),
+    "--lint": dict(action="store_true", help="run the determinism "
+                   "linter over src first; findings fail the command"),
+    "--trace": dict(action="store_true", help="trace each run and "
+                    "report its latency attribution"),
+    "--trace-out": dict(default="", help="write a Chrome trace-event "
+                        "JSON here for ui.perfetto.dev (implies --trace; "
+                        "several figures prefix their names)"),
+    "--capacity": dict(type=_COUNT, default=65536,
+                       help="per-CPU trace ring capacity (events)"),
+    "--threshold-pct": dict(type=_checked(check_percentile, float),
+                            default=99.0, help="attribute samples "
+                            "at/above this latency percentile"),
+    "--check-sums": dict(action="store_true", help="fail unless every "
+                         "sample's attribution sums to its latency within "
+                         "1%%; storm (traced by it) also needs fault-bucket "
+                         "time and one fault_inject hit per injection"),
+    "--fault-plan": dict(default="", help="run every scenario under "
+                         "this fault plan (see 'faults list-faults')"),
+    "--fault-intensity": dict(type=_checked(check_intensity, float),
+                              help="scale the fault plan's intensity"),
+    "--plan": dict(default="", help="fault plan (default: the "
+                   "scenario's own; storm, margin and twin fall back to "
+                   "storm-<scenario>)"),
+    "--intensity": dict(type=_checked(check_intensity, float),
+                        help="intensity multiplier on the plan baseline"),
+    "--intensities": dict(type=_intensities,
+                          help="comma-separated intensity ladder"),
+    "--bound-us": dict(type=_checked(bound_ns_of, float),
+                       help="latency bound the shielded config must "
+                       "hold, in us; 1000 is the paper's sub-millisecond "
+                       "claim"),
+    "--unshielded": dict(action="store_true", help="strip the "
+                         "scenario's shield components (same shield CPU)"),
+    "--store [DIR]": dict(nargs="?", const="", metavar="DIR",
+                          help="cache runs in the content-addressed "
+                          f"result store (DIR: {DEFAULT_STORE_DIR}); hits "
+                          f"load byte-identically instead of rerunning"),
+    "--store DIR": dict(default=DEFAULT_STORE_DIR, metavar="DIR",
+                        help="result store directory (serve keeps its "
+                        "job journal there too)"),
+    "--no-cache": dict(dest="use_cache", action="store_false",
+                       help="recompute even on store hits, but still "
+                       "persist the fresh results"),
+    "--gate": dict(action="store_true", help="exit 1 unless the diff "
+                   "is empty (bounds: unless every shielded latency "
+                   "scenario is predicted within 1 ms)"),
+    "--report": dict(default="", metavar="FILE",
+                     help="also write the rendered report here"),
+    "--top-spans": dict(type=int, default=5,
+                        help="span changes to itemise per divergence"),
+    "--server": dict(default=DEFAULT_SERVER, help="service address"),
+}
+
+
+def _add(parser, *names, required=False, metavar=None,
+         **defaults) -> None:
+    """Add the shared flags *names* (keys of :data:`FLAGS`) to *parser*.
+
+    A keyword named after a flag's dest states this subcommand's
+    default for it; *required* and *metavar* apply to every flag named.
+    """
+    for name in names:
+        option = name.split()[0]
+        kwargs = dict(FLAGS[name])
+        dest = kwargs.get("dest", option[2:].replace("-", "_"))
+        if dest in defaults:
+            kwargs["default"] = defaults.pop(dest)
+        if required:
+            kwargs["required"] = True
+        if metavar:
+            kwargs["metavar"] = metavar
+        shown = kwargs.get("default")
+        if shown not in (None, "") and not isinstance(shown, bool):
+            kwargs["help"] += " (default %(default)s)"
+        parser.add_argument(option, **kwargs)
+    if defaults:
+        raise TypeError(f"no such flag among {names}: {sorted(defaults)}")
+
+
+def _parser(path: str, description: str) -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(prog=f"{PROG} {path}".rstrip(),
+                                   description=description)
+
+
+def _scenario(name: str, parser=None):
+    """The registered scenario *name*; an unknown one exits 1 with the
+    message, or 2 through *parser* when given."""
     try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {text!r}")
-    return value
+        return scenario(name)
+    except UnknownScenarioError:
+        message = f"unknown scenario {name!r} (use 'list-scenarios')"
+        if parser is not None:
+            parser.error(message)
+        raise SystemExit(message) from None
+
+
+def _store_arg(value):
+    """Resolve a ``--store [DIR]`` argument: None, "" (default dir) or
+    an explicit path."""
+    return DEFAULT_STORE_DIR if value == "" else value
+
+
+def _lockdep(args):
+    """The LockdepConfig ``--lockdep`` / ``--lockdep-strict`` ask for."""
+    if not (args.lockdep or args.lockdep_strict):
+        return None
+    from repro.analysis.lockdep import LockdepConfig
+
+    return LockdepConfig(strict=args.lockdep_strict)
 
 
 def _progress(message: str) -> None:
@@ -246,10 +321,130 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _run_lint(paths=("src",)) -> int:
+    """Run the determinism linter; returns the finding count."""
+    from repro.analysis.lint import lint_paths
+
+    findings = lint_paths(paths)
+    for finding in findings:
+        print(finding.render())
+    print(f"lint: {len(findings)} finding"
+          f"{'s' if len(findings) != 1 else ''}")
+    return len(findings)
+
+
+def _print_sum_check(check) -> bool:
+    """Print a trace's attribution sum check; True when it holds."""
+    if not check["ok"]:
+        print(f"sum check FAILED: max relative error "
+              f"{check['max_rel_err']:.4f} > 0.01")
+        return False
+    print(f"sum check ok over {check['samples']} samples")
+    return True
+
+
+# ----------------------------------------------------------------------
+# Subcommands
+# ----------------------------------------------------------------------
+def _cmd_run(argv, bare: bool = False) -> int:
+    """``run <scenario>`` and the bare figure form (``fig6``, ``all``):
+    one parser and one loop; each refuses an unknown name in its own
+    words."""
+    if bare:
+        parser = _parser("", "Reproduce a figure from the "
+                         "shielded-processors paper (see also the "
+                         "campaign / list-scenarios / run subcommands).")
+        parser.add_argument("name", metavar="figure",
+                            help="fig1..fig7, or 'all'")
+    else:
+        parser = _parser("run", "Run one registered scenario by name.")
+        parser.add_argument("name", metavar="scenario")
+    _add(parser, "--iterations", "--samples", "--seed", "--json-dir",
+         "--profile", "--lockdep", "--lockdep-strict", "--lint",
+         "--trace", "--trace-out", iterations=15, samples=20_000, seed=1)
+    args = parser.parse_args(argv)
+
+    figures = [*DETERMINISM, *LATENCY]
+    names = figures if bare and args.name == "all" else [args.name]
+    try:
+        specs = [scenario(name).configured(
+            iterations=args.iterations, samples=args.samples,
+            seed=args.seed) for name in names]
+    except UnknownScenarioError:
+        raise SystemExit(
+            f"unknown figure {args.name!r}; choose from {figures} or "
+            f"'all' (or use 'list-scenarios')" if bare else
+            f"unknown scenario {args.name!r} (use 'list-scenarios')"
+        ) from None
+    failures = _run_lint() if args.lint else 0
+    for spec in specs:
+        trace_out = args.trace_out
+        if trace_out and len(specs) > 1:
+            head, tail = os.path.split(trace_out)
+            trace_out = os.path.join(head, f"{spec.name}.{tail}")
+        failures += _run_one(spec, args, trace_out)
+    return 1 if failures else 0
+
+
+def _run_one(spec, args, trace_out: str) -> int:
+    """Run one configured scenario and print its paper-format report.
+
+    Returns the number of lockdep violations observed (0 when lockdep
+    is off), so callers can turn observations into exit codes.
+    """
+    from repro.experiments.export import scenario_to_dict, to_json
+
+    t_config = None
+    if args.trace or trace_out:
+        t_config = TraceConfig(out=trace_out)
+    profiler = None
+    if args.profile:
+        import cProfile
+
+        profiler = cProfile.Profile()
+        profiler.enable()
+    result = run_scenario(spec, lockdep=_lockdep(args), trace=t_config)
+    if profiler is not None:
+        profiler.disable()
+    print(result.report())
+    violations = 0
+    if result.lockdep is not None:
+        from repro.metrics.report import lockdep_violations_table
+
+        violations = len(result.lockdep)
+        print(f"lockdep: {violations} violation"
+              f"{'s' if violations != 1 else ''}")
+        if violations:
+            print(lockdep_violations_table(result.lockdep))
+    if result.trace is not None:
+        from repro.metrics.report import trace_summary
+
+        print(trace_summary(result.trace))
+        if trace_out:
+            print(f"(wrote {trace_out})")
+    if args.json_dir:
+        path = os.path.join(args.json_dir, f"{spec.name}.json")
+        to_json(scenario_to_dict(result), path=path)
+        print(f"(wrote {path})")
+    if profiler is not None:
+        # The .pstats lands next to the exported JSON (or in the
+        # current directory when no --json-dir was given); inspect it
+        # with `python -m pstats <file>` or snakeviz.
+        stats_path = os.path.join(args.json_dir or ".",
+                                  f"{spec.name}.pstats")
+        profiler.dump_stats(stats_path)
+        print(f"(wrote {stats_path})")
+        if result.trace is not None:
+            from repro.metrics.report import tracepoint_hits_table
+
+            print("top tracepoints:")
+            print(tracepoint_hits_table(result.trace["hits"]))
+    print()
+    return violations
+
+
 def _cmd_list_scenarios(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments list-scenarios",
-        description="List the registered scenarios.")
+    parser = _parser("list-scenarios", "List the registered scenarios.")
     parser.add_argument("--group", default=None,
                         help="only this group (figures, a1..a6, fbs)")
     args = parser.parse_args(argv)
@@ -268,44 +463,15 @@ def _cmd_list_scenarios(argv) -> int:
 
 
 def _cmd_campaign(argv) -> int:
-    from repro.experiments.campaign import parse_seeds, run_campaign
+    from repro.experiments.campaign import run_campaign
     from repro.experiments.export import campaign_to_dict, to_json
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments campaign",
-        description="Run a scenario x seed matrix, optionally in "
-                    "parallel worker processes.")
-    parser.add_argument("--scenarios", required=True,
-                        help="comma-separated scenario names (see "
-                             "list-scenarios)")
-    parser.add_argument("--seeds", default="1",
-                        help="seed list: '1..8' or '1,2,5' (default 1)")
-    parser.add_argument("--workers", type=_count, default=1,
-                        help="parallel worker processes (default 1)")
-    parser.add_argument("--samples", type=_count, default=None,
-                        help="override latency sample counts")
-    parser.add_argument("--iterations", type=_count, default=None,
-                        help="override determinism iteration counts")
-    parser.add_argument("--json", default="",
-                        help="write the full campaign data here")
-    parser.add_argument("--trace", action="store_true",
-                        help="trace every run; the summary gains a "
-                             "per-run latency blame line")
-    parser.add_argument("--fault-plan", default="",
-                        help="run every scenario under this fault plan "
-                             "(see 'faults list-faults')")
-    parser.add_argument("--fault-intensity", type=float, default=None,
-                        help="scale the fault plan's baseline intensity")
-    parser.add_argument("--store", nargs="?", const="", default=None,
-                        metavar="DIR",
-                        help="cache runs in a content-addressed result "
-                             "store (default directory: .repro-store); "
-                             "warm re-runs load hits instead of "
-                             "recomputing, byte-identically")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="with --store: ignore existing entries "
-                             "(recompute everything) but still persist "
-                             "fresh results")
+    parser = _parser("campaign", "Run a scenario x seed matrix, "
+                     "optionally in parallel worker processes.")
+    _add(parser, "--scenarios", required=True)
+    _add(parser, "--seeds", "--workers", "--samples", "--iterations",
+         "--json", "--trace", "--fault-plan", "--fault-intensity",
+         "--store [DIR]", "--no-cache", seeds="1")
     parser.add_argument("--resume", action="store_true",
                         help="with --store: trust the campaign journal "
                              "from an interrupted run; completed jobs "
@@ -317,22 +483,18 @@ def _cmd_campaign(argv) -> int:
     args = parser.parse_args(argv)
 
     names = tuple(n.strip() for n in args.scenarios.split(",") if n.strip())
-    try:
-        seeds = parse_seeds(args.seeds)
-    except ValueError as exc:
-        parser.error(str(exc))
     store = _store_arg(args.store)
-    if store is None and (args.no_cache or args.resume):
+    if store is None and (not args.use_cache or args.resume):
         parser.error("--no-cache/--resume need --store")
     try:
-        result = run_campaign(names, seeds=seeds,
+        result = run_campaign(names, seeds=args.seeds,
                               workers=args.workers, samples=args.samples,
                               iterations=args.iterations,
                               trace=args.trace,
                               fault_plan=args.fault_plan,
                               fault_intensity=args.fault_intensity,
                               store=store,
-                              use_cache=not args.no_cache,
+                              use_cache=args.use_cache,
                               resume=args.resume,
                               progress=_progress,
                               retain_runs=not args.merged_only)
@@ -352,29 +514,16 @@ def _cmd_campaign(argv) -> int:
 
 
 def _cmd_trace(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments trace",
-        description="Run one scenario with typed tracing enabled and "
-                    "print the observability report (per-CPU "
-                    "accounting, tracepoint hits, latency "
-                    "attribution).")
+    parser = _parser("trace", "Run one scenario with typed tracing "
+                     "enabled and print the observability report "
+                     "(per-CPU accounting, tracepoint hits, latency "
+                     "attribution).")
     parser.add_argument("scenario")
-    parser.add_argument("--iterations", type=_count, default=15)
-    parser.add_argument("--samples", type=_count, default=20_000)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--capacity", type=_count, default=65536,
-                        help="per-CPU trace ring capacity (events)")
-    parser.add_argument("--threshold-pct", type=float, default=99.0,
-                        help="attribute samples at/above this latency "
-                             "percentile (default 99)")
+    _add(parser, "--iterations", "--samples", "--seed", "--capacity",
+         "--threshold-pct", iterations=15, samples=20_000, seed=1)
     parser.add_argument("--top", type=int, default=10,
                         help="worst samples to itemise (default 10)")
-    parser.add_argument("--trace-out", default="",
-                        help="write a Chrome trace-event JSON here "
-                             "(loadable in ui.perfetto.dev)")
-    parser.add_argument("--check-sums", action="store_true",
-                        help="fail unless every sample's attribution "
-                             "components sum to its latency within 1%%")
+    _add(parser, "--trace-out", "--check-sums")
     parser.add_argument("--summary-table", action="store_true",
                         help="also render the attribution bucket "
                              "breakdown as an aligned text table (the "
@@ -382,15 +531,9 @@ def _cmd_trace(argv) -> int:
     args = parser.parse_args(argv)
 
     from repro.metrics.report import attribution_bucket_table, trace_summary
-    from repro.observe.tracer import TraceConfig
 
-    try:
-        spec = scenario(args.scenario)
-    except UnknownScenarioError:
-        raise SystemExit(f"unknown scenario {args.scenario!r} "
-                         f"(use 'list-scenarios')")
-    spec = spec.configured(iterations=args.iterations,
-                           samples=args.samples, seed=args.seed)
+    spec = _scenario(args.scenario).configured(
+        iterations=args.iterations, samples=args.samples, seed=args.seed)
     t_config = TraceConfig(capacity=args.capacity,
                            threshold_pct=args.threshold_pct,
                            top=args.top, out=args.trace_out)
@@ -404,36 +547,15 @@ def _cmd_trace(argv) -> int:
             {"total": result.trace["attribution"]["aggregate"]}))
     if args.trace_out:
         print(f"(wrote {args.trace_out})")
-    if args.check_sums:
-        check = result.trace["attribution"]["sum_check"]
-        if not check["ok"]:
-            print(f"sum check FAILED: max relative error "
-                  f"{check['max_rel_err']:.4f} > 0.01")
-            return 1
-        print(f"sum check ok over {check['samples']} samples")
+    if args.check_sums and not _print_sum_check(
+            result.trace["attribution"]["sum_check"]):
+        return 1
     return 0
 
 
-def _cmd_faults(argv) -> int:
-    """The simfault subcommand: list-faults | storm | margin."""
-    actions = ("list-faults", "storm", "margin")
-    if not argv or argv[0] not in actions:
-        print(f"usage: python -m repro.experiments faults "
-              f"{{{'|'.join(actions)}}} ...", file=sys.stderr)
-        return 2
-    action, rest = argv[0], argv[1:]
-    if action == "list-faults":
-        return _cmd_list_faults(rest)
-    if action == "storm":
-        return _cmd_storm(rest)
-    return _cmd_margin(rest)
-
-
 def _cmd_list_faults(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments faults list-faults",
-        description="List the registered fault plans and their "
-                    "injector compositions.")
+    parser = _parser("faults list-faults", "List the registered fault "
+                     "plans and their injector compositions.")
     parser.parse_args(argv)
 
     from repro.faults import all_fault_plans
@@ -452,11 +574,7 @@ def _resolve_storm(parser, scenario_name: str, plan_name: str):
     from repro.faults import UnknownFaultPlanError, fault_plan
     from repro.faults.twindiff import resolve_plan_name
 
-    try:
-        spec = scenario(scenario_name)
-    except UnknownScenarioError:
-        parser.error(f"unknown scenario {scenario_name!r} "
-                     f"(use 'list-scenarios')")
+    spec = _scenario(scenario_name, parser)
     try:
         return spec, fault_plan(resolve_plan_name(spec, scenario_name,
                                                   plan_name))
@@ -465,43 +583,14 @@ def _resolve_storm(parser, scenario_name: str, plan_name: str):
 
 
 def _cmd_storm(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments faults storm",
-        description="Run one scenario under a fault plan and report "
-                    "what the interference did to it.")
+    parser = _parser("faults storm", "Run one scenario under a fault "
+                     "plan and report what the interference did to it.")
     parser.add_argument("scenario",
                         help="scenario name (fig6, storm-fig6, ...)")
-    parser.add_argument("--plan", default="",
-                        help="fault plan (default: the scenario's own "
-                             "plan, else storm-<scenario>)")
-    parser.add_argument("--intensity", type=float, default=1.0,
-                        help="intensity multiplier on the plan baseline")
-    parser.add_argument("--samples", type=_count, default=20_000)
-    parser.add_argument("--iterations", type=_count, default=15)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--unshielded", action="store_true",
-                        help="strip the scenario's shield so the storm "
-                             "lands on the measurement CPU")
-    parser.add_argument("--lockdep", action="store_true",
-                        help="observe with the lockdep checker "
-                             "(composition check: injected rogue ops "
-                             "must surface as violations, not crashes)")
-    parser.add_argument("--lockdep-strict", action="store_true",
-                        help="as --lockdep, but panic at the first "
-                             "violation")
-    parser.add_argument("--trace", action="store_true",
-                        help="trace the run; attribution gains a "
-                             "'fault' blame bucket")
-    parser.add_argument("--threshold-pct", type=float, default=99.0,
-                        help="attribution percentile (default 99)")
-    parser.add_argument("--check-sums", action="store_true",
-                        help="implies --trace; fail unless per-sample "
-                             "attribution still sums exactly, the "
-                             "fault bucket attributed nonzero time AND "
-                             "every injection hit the fault_inject "
-                             "tracepoint")
-    parser.add_argument("--json", default="",
-                        help="write the scenario export here")
+    _add(parser, "--plan", "--intensity", "--samples", "--iterations",
+         "--seed", "--unshielded", "--lockdep", "--lockdep-strict",
+         "--trace", "--threshold-pct", "--check-sums", "--json",
+         intensity=1.0, samples=20_000, iterations=15, seed=1)
     args = parser.parse_args(argv)
 
     spec, plan = _resolve_storm(parser, args.scenario, args.plan)
@@ -511,18 +600,11 @@ def _cmd_storm(argv) -> int:
                            fault_intensity=args.intensity)
     if args.unshielded:
         spec = spec.unshielded()
-    ld_config = None
-    if args.lockdep or args.lockdep_strict:
-        from repro.analysis.lockdep import LockdepConfig
-
-        ld_config = LockdepConfig(strict=args.lockdep_strict)
     t_config = None
     if args.trace or args.check_sums:
-        from repro.observe.tracer import TraceConfig
-
         t_config = TraceConfig(threshold_pct=args.threshold_pct)
 
-    result = run_scenario(spec, lockdep=ld_config, trace=t_config)
+    result = run_scenario(spec, lockdep=_lockdep(args), trace=t_config)
     print(result.report())
     faults = result.faults or {}
     print(f"faults: plan={plan.name} x{args.intensity:g} "
@@ -542,13 +624,8 @@ def _cmd_storm(argv) -> int:
         print(trace_summary(result.trace))
         if args.check_sums:
             att = result.trace["attribution"]
-            check = att["sum_check"]
-            if not check["ok"]:
-                print(f"sum check FAILED: max relative error "
-                      f"{check['max_rel_err']:.4f} > 0.01")
+            if not _print_sum_check(att["sum_check"]):
                 failures += 1
-            else:
-                print(f"sum check ok over {check['samples']} samples")
             fault_ns = att.get("aggregate", {}).get("fault", 0)
             if fault_ns <= 0:
                 print("fault attribution FAILED: no latency blamed on "
@@ -573,39 +650,16 @@ def _cmd_storm(argv) -> int:
 
 
 def _cmd_margin(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments faults margin",
-        description="Sweep a fault plan's intensity over shielded and "
-                    "unshielded twins of a scenario and report the "
-                    "shield margin (max intensity within the bound).")
+    parser = _parser("faults margin", "Sweep a fault plan's intensity "
+                     "over shielded and unshielded twins of a scenario "
+                     "and report the shield margin (max intensity within "
+                     "the bound).")
     parser.add_argument("scenario",
                         help="scenario name (fig6, storm-fig6, ...)")
-    parser.add_argument("--plan", default="",
-                        help="fault plan (default: the scenario's own "
-                             "plan, else storm-<scenario>)")
-    parser.add_argument("--intensities", default="0.25,0.5,1,2,4",
-                        help="comma-separated intensity ladder")
-    parser.add_argument("--bound-us", type=float, default=1000.0,
-                        help="latency bound the shielded config must "
-                             "hold, in us (default 1000 = the paper's "
-                             "sub-millisecond claim)")
-    parser.add_argument("--samples", type=_count, default=6_000)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workers", type=_count, default=1)
-    parser.add_argument("--store", nargs="?", const="", default=None,
-                        metavar="DIR",
-                        help="reuse/persist ladder cells through the "
-                             "content-addressed result store (default "
-                             "directory: .repro-store); twins and "
-                             "repeated/extended ladders share cached "
-                             "runs")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="with --store: recompute every cell but "
-                             "still persist the fresh results")
-    parser.add_argument("--json", default="",
-                        help="write the margin report here "
-                             "(byte-identical across --workers and "
-                             "cache states)")
+    _add(parser, "--plan", "--intensities", "--bound-us", "--samples",
+         "--seed", "--workers", "--store [DIR]", "--no-cache", "--json",
+         intensities="0.25,0.5,1,2,4", bound_us=1000.0, samples=6_000,
+         seed=1)
     parser.add_argument("--bounds", action="store_true",
                         help="annotate each rung with the simbound "
                              "static prediction (the analytic twin of "
@@ -614,29 +668,19 @@ def _cmd_margin(argv) -> int:
     args = parser.parse_args(argv)
 
     from repro.faults import MarginSpec, run_margin
-    from repro.faults.margin import bound_ns_of
-    from repro.faults.plan import check_intensity
 
     spec, plan = _resolve_storm(parser, args.scenario, args.plan)
     try:
-        intensities = tuple(float(part)
-                            for part in args.intensities.split(",")
-                            if part.strip())
-    except ValueError:
-        parser.error(f"--intensities must be comma-separated numbers, "
-                     f"got {args.intensities!r}")
-    try:
-        for value in intensities:
-            check_intensity(value, "--intensities")
         margin_spec = MarginSpec(
-            scenario=spec.name, plan=plan.name, intensities=intensities,
+            scenario=spec.name, plan=plan.name,
+            intensities=args.intensities,
             bound_ns=bound_ns_of(args.bound_us, "--bound-us"),
             samples=args.samples, seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
     result = run_margin(margin_spec, workers=args.workers,
                         store=_store_arg(args.store),
-                        use_cache=not args.no_cache)
+                        use_cache=args.use_cache)
     if args.bounds:
         from repro.faults.margin import predicted_ladder
 
@@ -650,25 +694,6 @@ def _cmd_margin(argv) -> int:
     return 0
 
 
-def _cmd_diff(argv) -> int:
-    """simdiff: record | against | compare | twin | golden."""
-    actions = ("record", "against", "compare", "twin", "golden")
-    if not argv or argv[0] not in actions:
-        print(f"usage: python -m repro.experiments diff "
-              f"{{{'|'.join(actions)}}} ...", file=sys.stderr)
-        return 2
-    action, rest = argv[0], argv[1:]
-    if action == "record":
-        return _cmd_diff_record(rest)
-    if action == "against":
-        return _cmd_diff_against(rest)
-    if action == "compare":
-        return _cmd_diff_compare(rest)
-    if action == "twin":
-        return _cmd_diff_twin(rest)
-    return _cmd_diff_golden(rest)
-
-
 def _load_recording(parser, path: str):
     from repro.observe.diff import RecordingError, TraceRecording
 
@@ -678,9 +703,15 @@ def _load_recording(parser, path: str):
         parser.error(str(exc))
 
 
-def _emit_diff(diff, args) -> None:
-    """Shared diff output: report to stdout, optional file sinks."""
-    text = diff.render(top_spans=args.top_spans)
+def _diff_output_args(parser) -> None:
+    _add(parser, "--report")
+    _add(parser, "--json", metavar="FILE")
+    _add(parser, "--top-spans")
+
+
+def _emit_diff(args, text: str, to_dict) -> None:
+    """Shared diff output: *text* to stdout and ``--report``, the
+    JSON of ``to_dict()`` to ``--json``."""
     print(text)
     if args.report:
         with open(args.report, "w") as fh:
@@ -690,46 +721,20 @@ def _emit_diff(diff, args) -> None:
     if args.json:
         from repro.experiments.export import to_json
 
-        to_json(diff.to_dict(), path=args.json)
+        to_json(to_dict(), path=args.json)
         _progress(f"(wrote {args.json})")
 
 
-def _diff_output_args(parser) -> None:
-    parser.add_argument("--report", default="", metavar="FILE",
-                        help="also write the rendered report here")
-    parser.add_argument("--json", default="", metavar="FILE",
-                        help="also write the diff as JSON here")
-    parser.add_argument("--top-spans", type=int, default=5,
-                        help="span changes to itemise per divergence "
-                             "(default 5)")
-
-
 def _cmd_diff_record(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments diff record",
-        description="Run one scenario traced and persist the trace "
-                    "recording as an RTRACE1 entry (standalone file "
-                    "and/or the content-addressed store).")
+    parser = _parser("diff record", "Run one scenario traced and persist "
+                     "the trace recording as an RTRACE1 entry (standalone "
+                     "file and/or the content-addressed store).")
     parser.add_argument("scenario")
-    parser.add_argument("--samples", type=_count, default=None)
-    parser.add_argument("--iterations", type=_count, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--capacity", type=_count, default=65536,
-                        help="per-CPU trace ring capacity (events)")
-    parser.add_argument("--plan", default="",
-                        help="fault plan to run under (default: the "
-                             "scenario's own, if any)")
-    parser.add_argument("--intensity", type=float, default=None,
-                        help="fault intensity multiplier")
-    parser.add_argument("--unshielded", action="store_true",
-                        help="record the unshielded twin (shield "
-                             "components stripped, same shield CPU)")
+    _add(parser, "--samples", "--iterations", "--seed", "--capacity",
+         "--plan", "--intensity", "--unshielded")
     parser.add_argument("--out", default="", metavar="FILE",
                         help="write the recording to this file")
-    parser.add_argument("--store", nargs="?", const="", default=None,
-                        metavar="DIR",
-                        help="put the recording in the store (default "
-                             "directory when DIR is omitted)")
+    _add(parser, "--store [DIR]")
     args = parser.parse_args(argv)
 
     from repro.observe.diff import record_scenario
@@ -737,15 +742,9 @@ def _cmd_diff_record(argv) -> int:
     if not args.out and args.store is None:
         parser.error("nothing to persist: give --out FILE and/or "
                      "--store [DIR]")
-    try:
-        spec = scenario(args.scenario)
-    except UnknownScenarioError:
-        parser.error(f"unknown scenario {args.scenario!r} "
-                     f"(use 'list-scenarios')")
-    spec = spec.configured(samples=args.samples,
-                           iterations=args.iterations, seed=args.seed,
-                           fault_plan=args.plan or None,
-                           fault_intensity=args.intensity)
+    spec = _scenario(args.scenario, parser).configured(
+        samples=args.samples, iterations=args.iterations, seed=args.seed,
+        fault_plan=args.plan or None, fault_intensity=args.intensity)
     if args.unshielded:
         if not spec.shield.any_component:
             parser.error(f"scenario {args.scenario!r} already runs "
@@ -761,10 +760,9 @@ def _cmd_diff_record(argv) -> int:
         rec.save(args.out)
         print(f"(wrote {args.out})")
     if args.store is not None:
-        from repro.store import (DEFAULT_STORE_DIR, ResultStore,
-                                 recording_key)
+        from repro.store import recording_key
 
-        store = ResultStore(args.store or DEFAULT_STORE_DIR)
+        store = ResultStore(_store_arg(args.store))
         key = recording_key(spec, args.capacity, code=rec.code)
         store.put_recording(key, rec.to_body(), code=rec.code)
         print(f"(stored {key[:16]}... in {store.root})")
@@ -772,15 +770,12 @@ def _cmd_diff_record(argv) -> int:
 
 
 def _cmd_diff_against(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments diff against",
-        description="Re-record a baseline recording's run under the "
-                    "current code tree and diff current against "
-                    "baseline (the semantic-golden check, for one "
-                    "file).")
+    parser = _parser("diff against", "Re-record a baseline recording's "
+                     "run under the current code tree and diff current "
+                     "against baseline (the semantic-golden check, for "
+                     "one file).")
     parser.add_argument("baseline", help="baseline .rtrace file")
-    parser.add_argument("--gate", action="store_true",
-                        help="exit 1 unless the diff is empty")
+    _add(parser, "--gate")
     _diff_output_args(parser)
     args = parser.parse_args(argv)
 
@@ -791,7 +786,7 @@ def _cmd_diff_against(argv) -> int:
     fresh = rerecord(baseline)
     diff = diff_recordings(baseline, fresh,
                            a_label="baseline", b_label="current")
-    _emit_diff(diff, args)
+    _emit_diff(args, diff.render(top_spans=args.top_spans), diff.to_dict)
     if args.gate and not diff.identical:
         print("gate: diff is not empty", file=sys.stderr)
         return 1
@@ -799,15 +794,12 @@ def _cmd_diff_against(argv) -> int:
 
 
 def _cmd_diff_compare(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments diff compare",
-        description="Diff two saved recordings of the same "
-                    "scenario/seed (e.g. recorded under two code "
-                    "trees or configs).")
+    parser = _parser("diff compare", "Diff two saved recordings of the "
+                     "same scenario/seed (e.g. recorded under two code "
+                     "trees or configs).")
     parser.add_argument("a", help="recording A (.rtrace file)")
     parser.add_argument("b", help="recording B (.rtrace file)")
-    parser.add_argument("--gate", action="store_true",
-                        help="exit 1 unless the diff is empty")
+    _add(parser, "--gate")
     _diff_output_args(parser)
     args = parser.parse_args(argv)
 
@@ -824,7 +816,7 @@ def _cmd_diff_compare(argv) -> int:
                                a_label=label_a, b_label=label_b)
     except TraceDiffError as exc:
         parser.error(str(exc))
-    _emit_diff(diff, args)
+    _emit_diff(args, diff.render(top_spans=args.top_spans), diff.to_dict)
     if args.gate and not diff.identical:
         print("gate: diff is not empty", file=sys.stderr)
         return 1
@@ -832,24 +824,15 @@ def _cmd_diff_compare(argv) -> int:
 
 
 def _cmd_diff_twin(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments diff twin",
-        description="Record both twins of one storm scenario "
-                    "(shielded and unshielded, same workload and "
-                    "interference) and report exactly where the "
-                    "unshielded run's extra response time went.")
+    parser = _parser("diff twin", "Record both twins of one storm "
+                     "scenario (shielded and unshielded, same workload "
+                     "and interference) and report exactly where the "
+                     "unshielded run's extra response time went.")
     parser.add_argument("scenario",
                         help="shielded scenario name (fig6, "
                              "storm-fig6, ...)")
-    parser.add_argument("--plan", default="",
-                        help="fault plan (default: the scenario's "
-                             "own / storm-<base>)")
-    parser.add_argument("--intensity", type=float, default=1.0)
-    parser.add_argument("--samples", type=_count, default=None)
-    parser.add_argument("--iterations", type=_count, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--capacity", type=_count, default=65536,
-                        help="per-CPU trace ring capacity (events)")
+    _add(parser, "--plan", "--intensity", "--samples", "--iterations",
+         "--seed", "--capacity", intensity=1.0)
     parser.add_argument("--expect-buckets", default="",
                         metavar="B1,B2,...",
                         help="fail unless each listed mechanism is "
@@ -873,19 +856,8 @@ def _cmd_diff_twin(argv) -> int:
     except (UnknownScenarioError, UnknownFaultPlanError,
             ValueError) as exc:
         parser.error(str(exc))
-    print(result.headline())
-    print()
-    print(result.diff.render(top_spans=args.top_spans))
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(result.summary(top_spans=args.top_spans))
-            fh.write("\n")
-        _progress(f"(wrote {args.report})")
-    if args.json:
-        from repro.experiments.export import to_json
-
-        to_json(result.to_dict(), path=args.json)
-        _progress(f"(wrote {args.json})")
+    _emit_diff(args, result.summary(top_spans=args.top_spans),
+               result.to_dict)
     if not result.shielded_within_bound:
         print("twin: shielded run EXCEEDS the paper bound",
               file=sys.stderr)
@@ -906,12 +878,10 @@ def _cmd_diff_twin(argv) -> int:
 
 
 def _cmd_diff_golden(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments diff golden",
-        description="Semantic goldens: re-record the committed "
-                    "baseline recordings and diff; an intentional "
-                    "change fails with a mechanism-level report "
-                    "instead of a CRC mismatch.")
+    parser = _parser("diff golden", "Semantic goldens: re-record the "
+                     "committed baseline recordings and diff; an "
+                     "intentional change fails with a mechanism-level "
+                     "report instead of a CRC mismatch.")
     parser.add_argument("names", nargs="*",
                         help="golden names (default: all)")
     parser.add_argument("--record", action="store_true",
@@ -920,7 +890,7 @@ def _cmd_diff_golden(argv) -> int:
     parser.add_argument("--dir", default="", metavar="DIR",
                         help="goldens directory (default: the "
                              "committed goldens/recordings)")
-    parser.add_argument("--top-spans", type=int, default=5)
+    _add(parser, "--top-spans")
     args = parser.parse_args(argv)
 
     from repro.observe.diff import (GOLDEN_SPECS, RecordingError,
@@ -961,83 +931,73 @@ def _cmd_diff_golden(argv) -> int:
     return 1 if failures else 0
 
 
-def _cmd_store(argv) -> int:
-    """Result-store maintenance: ls | verify | gc."""
-    actions = ("ls", "verify", "gc")
-    if not argv or argv[0] not in actions:
-        print(f"usage: python -m repro.experiments store "
-              f"{{{'|'.join(actions)}}} ...", file=sys.stderr)
-        return 2
-    action, rest = argv[0], argv[1:]
-
-    from repro.store import DEFAULT_STORE_DIR, ResultStore
-
-    parser = argparse.ArgumentParser(
-        prog=f"python -m repro.experiments store {action}",
-        description={
-            "ls": "List the store's entries (scenario, seed, size).",
-            "verify": "Fully decode every entry and flag corruption.",
-            "gc": "Drop entries no current key can hit (other code "
-                  "versions), optionally also entries older than "
-                  "--keep-days, then evict least-recently-used "
-                  "entries until the store fits --max-bytes.",
-        }[action])
-    parser.add_argument("--store", default=DEFAULT_STORE_DIR,
-                        metavar="DIR",
-                        help=f"store directory (default "
-                             f"{DEFAULT_STORE_DIR})")
-    if action == "ls":
-        parser.add_argument("--kind", default="",
-                            choices=("", "result", "stalled", "rtrace"),
-                            help="only list entries of this kind")
-    if action == "verify":
-        parser.add_argument("--delete", action="store_true",
-                            help="remove corrupt entries so the next "
-                                 "run recomputes them")
-    if action == "gc":
-        parser.add_argument("--keep-days", type=_days, default=None,
-                            help="also drop entries older than this "
-                                 "many days")
-        parser.add_argument("--max-bytes", type=parse_size, default=None,
-                            metavar="N",
-                            help="evict least-recently-used entries "
-                                 "until the store fits this budget "
-                                 "(suffixes K/M/G accepted, e.g. 512M)")
-        parser.add_argument("--dry-run", action="store_true",
-                            help="report what would be removed")
-    args = parser.parse_args(rest)
+def _cmd_store_ls(argv) -> int:
+    parser = _parser("store ls", "List the store's entries (scenario, "
+                     "seed, size).")
+    _add(parser, "--store DIR")
+    parser.add_argument("--kind", default="",
+                        choices=("", "result", "stalled", "rtrace"),
+                        help="only list entries of this kind")
+    args = parser.parse_args(argv)
 
     store = ResultStore(args.store)
-    if action == "ls":
-        count = 0
-        total = 0
-        for key, meta, size in store.ls(kind=args.kind or None):
-            count += 1
-            total += size
-            if not meta:
-                print(f"{key[:16]}  CORRUPT  {size:>10} B")
-                continue
-            if meta.get("entry_kind") == "rtrace":
-                detail = (f"rtrace       "
-                          f"n={meta.get('samples_target', 0)}")
-            elif meta.get("stalled"):
-                detail = f"stalled: {meta.get('error', '')[:40]}"
-            else:
-                detail = (f"{meta.get('kind', '?'):<12} "
-                          f"n={meta.get('count', 0)}")
-            print(f"{key[:16]}  {meta.get('scenario', '?'):<16} "
-                  f"seed={meta.get('seed', '?'):<6} {detail}  "
-                  f"{size:>10} B")
-        print(f"{count} entries, {total / 1e6:.2f} MB in {store.root}")
-        return 0
-    if action == "verify":
-        ok, corrupt = store.verify(delete=args.delete)
-        for key in corrupt:
-            print(f"corrupt: {key}"
-                  f"{'  (deleted)' if args.delete else ''}")
-        print(f"verify: {ok} ok, {len(corrupt)} corrupt")
-        return 1 if corrupt and not args.delete else 0
-    # gc
+    count = 0
+    total = 0
+    for key, meta, size in store.ls(kind=args.kind or None):
+        count += 1
+        total += size
+        if not meta:
+            print(f"{key[:16]}  CORRUPT  {size:>10} B")
+            continue
+        if meta.get("entry_kind") == "rtrace":
+            detail = f"rtrace       n={meta.get('samples_target', 0)}"
+        elif meta.get("stalled"):
+            detail = f"stalled: {meta.get('error', '')[:40]}"
+        else:
+            detail = (f"{meta.get('kind', '?'):<12} "
+                      f"n={meta.get('count', 0)}")
+        print(f"{key[:16]}  {meta.get('scenario', '?'):<16} "
+              f"seed={meta.get('seed', '?'):<6} {detail}  "
+              f"{size:>10} B")
+    print(f"{count} entries, {total / 1e6:.2f} MB in {store.root}")
+    return 0
+
+
+def _cmd_store_verify(argv) -> int:
+    parser = _parser("store verify", "Fully decode every entry and flag "
+                     "corruption.")
+    _add(parser, "--store DIR")
+    parser.add_argument("--delete", action="store_true",
+                        help="remove corrupt entries so the next "
+                             "run recomputes them")
+    args = parser.parse_args(argv)
+
+    ok, corrupt = ResultStore(args.store).verify(delete=args.delete)
+    for key in corrupt:
+        print(f"corrupt: {key}{'  (deleted)' if args.delete else ''}")
+    print(f"verify: {ok} ok, {len(corrupt)} corrupt")
+    return 1 if corrupt and not args.delete else 0
+
+
+def _cmd_store_gc(argv) -> int:
+    parser = _parser("store gc", "Drop entries no current key can hit "
+                     "(other code versions), optionally also entries "
+                     "older than --keep-days, then evict "
+                     "least-recently-used entries until the store fits "
+                     "--max-bytes.")
+    _add(parser, "--store DIR")
+    parser.add_argument("--keep-days", type=_days, default=None,
+                        help="also drop entries older than this "
+                             "many days")
+    parser.add_argument("--max-bytes", type=parse_size, default=None,
+                        metavar="N",
+                        help="evict least-recently-used entries "
+                             "until the store fits this budget "
+                             "(suffixes K/M/G accepted, e.g. 512M)")
+    parser.add_argument("--dry-run", action="store_true",
+                        help="report what would be removed")
+    args = parser.parse_args(argv)
+
     now_s = None
     max_age_s = None
     if args.keep_days is not None:
@@ -1045,8 +1005,9 @@ def _cmd_store(argv) -> int:
 
         now_s = time.time()
         max_age_s = args.keep_days * 86_400.0
-    report = store.gc(max_age_s=max_age_s, now_s=now_s,
-                      max_bytes=args.max_bytes, dry_run=args.dry_run)
+    report = ResultStore(args.store).gc(
+        max_age_s=max_age_s, now_s=now_s, max_bytes=args.max_bytes,
+        dry_run=args.dry_run)
     n = len(report.removed)
     verb = "would remove" if args.dry_run else "removed"
     kinds = ", ".join(f"{kind}={count}"
@@ -1064,125 +1025,76 @@ def _cmd_store(argv) -> int:
 def _cmd_serve(argv) -> int:
     """Run the simserve campaign service in the foreground."""
     from repro.service.http import serve
-    from repro.store import DEFAULT_STORE_DIR
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments serve",
-        description="Serve campaign / margin / twin-diff jobs over "
-                    "HTTP, deduped against the result store. "
-                    "SIGTERM/Ctrl-C drains gracefully: in-flight "
-                    "chunks land, interrupted jobs re-queue in the "
-                    "journal and resume on restart.")
-    parser.add_argument("--store", default=DEFAULT_STORE_DIR,
-                        metavar="DIR",
-                        help=f"result store + job journal root "
-                             f"(default {DEFAULT_STORE_DIR})")
+    parser = _parser("serve", "Serve campaign / margin / twin-diff jobs "
+                     "over HTTP, deduped against the result store. "
+                     "SIGTERM/Ctrl-C drains gracefully: in-flight "
+                     "chunks land, interrupted jobs re-queue in the "
+                     "journal and resume on restart.")
+    _add(parser, "--store DIR")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8642,
                         help="listen port (default 8642; 0 for "
                              "ephemeral)")
-    parser.add_argument("--workers", type=_count, default=2,
-                        help="process-pool size for cache misses")
-    parser.add_argument("--capacity", type=_count, default=64,
+    _add(parser, "--workers", workers=2)
+    parser.add_argument("--capacity", type=_COUNT, default=64,
                         help="max live (queued+running) jobs before "
                              "submissions get 429")
-    parser.add_argument("--parallel-jobs", type=_count, default=2,
+    parser.add_argument("--parallel-jobs", type=_COUNT, default=2,
                         help="jobs executed concurrently")
     args = parser.parse_args(argv)
 
     import asyncio
 
     try:
+        # Each line flushed: with --port 0 the announce line is the
+        # only place the address appears, stdout a pipe or not.
         return asyncio.run(serve(
             args.store, host=args.host, port=args.port,
             workers=args.workers, capacity=args.capacity,
-            parallel_jobs=args.parallel_jobs, announce=print))
+            parallel_jobs=args.parallel_jobs,
+            announce=lambda line: print(line, flush=True)))
     except KeyboardInterrupt:  # pragma: no cover - signal race
         print(f"interrupted; resume with: python -m repro.experiments "
               f"serve --store {args.store}")
         return 0
 
 
-def _submit_spec(args) -> dict:
-    """The JSON job spec from `submit` flags (only set fields)."""
-    spec = {"kind": args.kind}
-    if args.scenarios:
-        spec["scenarios"] = args.scenarios
-    if args.seeds:
-        spec["seeds"] = args.seeds
-    if args.scenario:
-        spec["scenario"] = args.scenario
-    for name in ("seed", "samples", "iterations", "fault_intensity",
-                 "intensity", "bound_us", "priority", "max_workers"):
-        value = getattr(args, name)
-        if value is not None:
-            spec[name] = value
-    if args.plan:
-        spec["plan"] = args.plan
-    if args.fault_plan:
-        spec["fault_plan"] = args.fault_plan
-    if args.intensities:
-        spec["intensities"] = args.intensities
-    if args.no_cache:
-        spec["use_cache"] = False
-    return spec
-
-
 def _cmd_submit(argv) -> int:
     """Submit one job to a running simserve and optionally wait."""
     from repro.service.client import ServiceClient, ServiceError
-    from repro.service.jobs import JOB_KINDS
+    from repro.service.jobs import JOB_KINDS, JobSpec
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments submit",
-        description="Submit a campaign/figure/margin/twin-diff job "
-                    "to a running `serve` instance. Identical specs "
-                    "dedupe onto one job; a fully cached job "
-                    "completes without spawning a worker.")
+    parser = _parser("submit", "Submit a campaign/figure/margin/"
+                     "twin-diff job to a running `serve` instance. "
+                     "Identical specs dedupe onto one job; a fully "
+                     "cached job completes without spawning a worker.")
     parser.add_argument("kind", choices=JOB_KINDS)
-    parser.add_argument("--server", default=DEFAULT_SERVER,
-                        help=f"service address (default "
-                             f"{DEFAULT_SERVER})")
-    parser.add_argument("--scenarios", default="",
-                        help="campaign: comma-separated scenario list")
-    parser.add_argument("--seeds", default="",
-                        help="campaign: '1..8' or '1,2,5'")
+    _add(parser, "--server", "--scenarios", "--seeds")
     parser.add_argument("--scenario", default="",
                         help="figure/margin/twin-diff: scenario name")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--samples", type=_count, default=None)
-    parser.add_argument("--iterations", type=_count, default=None)
-    parser.add_argument("--fault-plan", default="",
-                        help="campaign: run every job under this plan")
-    parser.add_argument("--fault-intensity", type=float, default=None)
-    parser.add_argument("--plan", default="",
-                        help="margin/twin-diff: fault plan (defaults "
-                             "to the scenario's own)")
-    parser.add_argument("--intensities", default="",
-                        help="margin: comma-separated ladder, e.g. "
-                             "0.5,1,2,4")
-    parser.add_argument("--bound-us", dest="bound_us", type=float,
-                        default=None,
-                        help="margin: latency bound in microseconds")
-    parser.add_argument("--intensity", type=float, default=None,
-                        help="twin-diff: plan intensity multiplier")
-    parser.add_argument("--priority", type=int, default=None,
+    _add(parser, "--seed", "--samples", "--iterations", "--fault-plan",
+         "--fault-intensity", "--plan", "--intensities", "--bound-us",
+         "--intensity")
+    parser.add_argument("--priority", type=_checked(check_int),
                         help="higher runs first (default 0)")
-    parser.add_argument("--max-workers", type=int, default=None,
-                        help="cap this job's worker share")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="recompute even on store hits")
+    parser.add_argument("--max-workers",
+                        type=_checked(lambda v, n: check_int(v, n, 0)),
+                        help="cap this job's worker share (0: no cap)")
+    _add(parser, "--no-cache")
     parser.add_argument("--wait", action="store_true",
                         help="block until the job finishes and print "
                              "its report")
-    parser.add_argument("--json", default="",
-                        help="with --wait: write the artifact here "
-                             "(byte-identical to the direct CLI's)")
+    _add(parser, "--json")
     args = parser.parse_args(argv)
 
+    # The job spec: every JobSpec field whose flag was set.
+    job_fields = {f.name for f in fields(JobSpec)}
+    spec = {name: value for name, value in vars(args).items()
+            if name in job_fields and value != parser.get_default(name)}
     client = ServiceClient(args.server)
     try:
-        status = client.submit(_submit_spec(args))
+        status = client.submit(spec)
         job_id = status["id"]
         created = "submitted" if status.get("created") else "deduped"
         print(f"{created}: job {job_id} [{status['state']}] "
@@ -1215,21 +1127,16 @@ def _cmd_status(argv) -> int:
     """Poll a running simserve: one job, all jobs, or health."""
     from repro.service.client import ServiceClient, ServiceError
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments status",
-        description="Show job status from a running `serve` "
-                    "instance (all jobs when no id is given).")
+    parser = _parser("status", "Show job status from a running `serve` "
+                     "instance (all jobs when no id is given).")
     parser.add_argument("job_id", nargs="?", default="")
-    parser.add_argument("--server", default=DEFAULT_SERVER,
-                        help=f"service address (default "
-                             f"{DEFAULT_SERVER})")
+    _add(parser, "--server")
     parser.add_argument("--stream", action="store_true",
                         help="follow one job's status until it "
                              "finishes")
     parser.add_argument("--report", action="store_true",
                         help="print the finished job's report")
-    parser.add_argument("--json", default="",
-                        help="write the finished job's artifact here")
+    _add(parser, "--json")
     parser.add_argument("--health", action="store_true",
                         help="print queue/store/pool health instead")
     args = parser.parse_args(argv)
@@ -1285,28 +1192,19 @@ def _cmd_status(argv) -> int:
 
 
 def _cmd_bounds(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments bounds",
-        description="simbound: emit static worst-case window "
-                    "certificates per scenario, optionally cross-check "
-                    "observed accounting maxima against them, and gate "
-                    "shielded scenarios on predicted response <= 1 ms.")
+    parser = _parser("bounds", "simbound: emit static worst-case window "
+                     "certificates per scenario, optionally cross-check "
+                     "observed accounting maxima against them, and gate "
+                     "shielded scenarios on predicted response <= 1 ms.")
     parser.add_argument("scenarios", nargs="*",
                         help="scenario names (default: every registered "
                              "scenario, storm plans included)")
-    parser.add_argument("--json-dir", default="",
-                        help="write one <scenario>.bounds.json "
-                             "certificate per scenario here")
+    _add(parser, "--json-dir")
     parser.add_argument("--check", action="store_true",
                         help="run each scenario and assert observed "
                              "accounting maxima <= static bounds")
-    parser.add_argument("--samples", type=_count, default=2_000,
-                        help="latency samples for --check runs")
-    parser.add_argument("--iterations", type=_count, default=6,
-                        help="determinism iterations for --check runs")
-    parser.add_argument("--gate", action="store_true",
-                        help="fail when a shielded latency scenario's "
-                             "predicted response exceeds 1 ms")
+    _add(parser, "--samples", "--iterations", "--gate", samples=2_000,
+         iterations=6)
     args = parser.parse_args(argv)
 
     from repro.analysis.bounds import (BoundModelError,
@@ -1319,11 +1217,7 @@ def _cmd_bounds(argv) -> int:
     if args.json_dir:
         os.makedirs(args.json_dir, exist_ok=True)
     for name in names:
-        try:
-            spec = scenario(name)
-        except UnknownScenarioError:
-            parser.error(f"unknown scenario {name!r} "
-                         f"(use 'list-scenarios')")
+        spec = _scenario(name, parser)
         try:
             cert = certificate_for(spec)
         except BoundModelError as exc:
@@ -1358,132 +1252,46 @@ def _cmd_bounds(argv) -> int:
     return 1 if failures else 0
 
 
-def _cmd_run(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments run",
-        description="Run one registered scenario by name.")
-    parser.add_argument("scenario")
-    parser.add_argument("--iterations", type=_count, default=15)
-    parser.add_argument("--samples", type=_count, default=20_000)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--json-dir", default="")
-    parser.add_argument("--profile", action="store_true",
-                        help="profile the run under cProfile and write "
-                             "<scenario>.pstats next to the exported JSON")
-    parser.add_argument("--lockdep", action="store_true",
-                        help="observe the run with the lockdep invariant "
-                             "checker; violations fail the command")
-    parser.add_argument("--lockdep-strict", action="store_true",
-                        help="as --lockdep, but panic at the first "
-                             "violation")
-    parser.add_argument("--lint", action="store_true",
-                        help="run the static determinism linter over src "
-                             "before the scenario; findings fail the "
-                             "command")
-    parser.add_argument("--trace", action="store_true",
-                        help="enable typed tracing and print the "
-                             "observability report")
-    parser.add_argument("--trace-out", default="",
-                        help="write a Chrome trace-event JSON here "
-                             "(implies --trace)")
-    args = parser.parse_args(argv)
-    # run_one's refusal lists the figures and 'all', which suit the
-    # bare form only: this form takes any registered scenario.
-    try:
-        scenario(args.scenario)
-    except UnknownScenarioError:
-        raise SystemExit(f"unknown scenario {args.scenario!r} "
-                         f"(use 'list-scenarios')")
-    failures = 0
-    if args.lint:
-        failures += _run_lint()
-    failures += run_one(args.scenario, args.iterations, args.samples,
-                        args.seed, json_dir=args.json_dir,
-                        profile=args.profile, lockdep=args.lockdep,
-                        lockdep_strict=args.lockdep_strict,
-                        trace=args.trace, trace_out=args.trace_out)
-    return 1 if failures else 0
+def _group(name: str, actions: dict):
+    """A subcommand group: run the action its first word names, or
+    print the group's usage line and exit 2."""
+    def dispatch(argv) -> int:
+        if not argv or argv[0] not in actions:
+            print(f"usage: {PROG} {name} {{{'|'.join(actions)}}} ...",
+                  file=sys.stderr)
+            return 2
+        return actions[argv[0]](argv[1:])
+    return dispatch
+
+
+COMMANDS = {
+    "bounds": _cmd_bounds,
+    "campaign": _cmd_campaign,
+    "diff": _group("diff", {"record": _cmd_diff_record,
+                            "against": _cmd_diff_against,
+                            "compare": _cmd_diff_compare,
+                            "twin": _cmd_diff_twin,
+                            "golden": _cmd_diff_golden}),
+    "faults": _group("faults", {"list-faults": _cmd_list_faults,
+                                "storm": _cmd_storm,
+                                "margin": _cmd_margin}),
+    "list-scenarios": _cmd_list_scenarios,
+    "run": _cmd_run,
+    "serve": _cmd_serve,
+    "status": _cmd_status,
+    "store": _group("store", {"ls": _cmd_store_ls,
+                              "verify": _cmd_store_verify,
+                              "gc": _cmd_store_gc}),
+    "submit": _cmd_submit,
+    "trace": _cmd_trace,
+}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in SUBCOMMANDS:
-        command, rest = argv[0], argv[1:]
-        if command == "bounds":
-            return _cmd_bounds(rest)
-        if command == "campaign":
-            return _cmd_campaign(rest)
-        if command == "diff":
-            return _cmd_diff(rest)
-        if command == "faults":
-            return _cmd_faults(rest)
-        if command == "list-scenarios":
-            return _cmd_list_scenarios(rest)
-        if command == "serve":
-            return _cmd_serve(rest)
-        if command == "status":
-            return _cmd_status(rest)
-        if command == "store":
-            return _cmd_store(rest)
-        if command == "submit":
-            return _cmd_submit(rest)
-        if command == "trace":
-            return _cmd_trace(rest)
-        return _cmd_run(rest)
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
-        description="Reproduce a figure from the shielded-processors "
-                    "paper (see also the campaign / list-scenarios / "
-                    "run subcommands).")
-    parser.add_argument("figure",
-                        help="fig1..fig7, or 'all'")
-    parser.add_argument("--iterations", type=_count, default=15,
-                        help="determinism-test iterations (figs 1-4)")
-    parser.add_argument("--samples", type=_count, default=20_000,
-                        help="latency samples (figs 5-7)")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--json-dir", default="",
-                        help="also write <figure>.json data files here")
-    parser.add_argument("--profile", action="store_true",
-                        help="profile each run under cProfile and write "
-                             "<figure>.pstats next to the exported JSON")
-    parser.add_argument("--lockdep", action="store_true",
-                        help="observe each run with the lockdep invariant "
-                             "checker; violations fail the command")
-    parser.add_argument("--lockdep-strict", action="store_true",
-                        help="as --lockdep, but panic at the first "
-                             "violation")
-    parser.add_argument("--lint", action="store_true",
-                        help="run the static determinism linter over src "
-                             "first; findings fail the command")
-    parser.add_argument("--trace", action="store_true",
-                        help="enable typed tracing and print the "
-                             "observability report per figure")
-    parser.add_argument("--trace-out", default="",
-                        help="write a Chrome trace-event JSON here "
-                             "(implies --trace; with multiple figures "
-                             "the scenario name is prefixed)")
-    args = parser.parse_args(argv)
-
-    failures = 0
-    if args.lint:
-        failures += _run_lint()
-    names = ([*DETERMINISM, *LATENCY]
-             if args.figure == "all" else [args.figure])
-    for name in names:
-        trace_out = args.trace_out
-        if trace_out and len(names) > 1:
-            import os
-
-            head, tail = os.path.split(trace_out)
-            trace_out = os.path.join(head, f"{name}.{tail}")
-        failures += run_one(name, args.iterations, args.samples, args.seed,
-                            json_dir=args.json_dir, profile=args.profile,
-                            lockdep=args.lockdep,
-                            lockdep_strict=args.lockdep_strict,
-                            trace=args.trace, trace_out=trace_out)
-    return 1 if failures else 0
+    if argv and argv[0] in COMMANDS:
+        return COMMANDS[argv[0]](argv[1:])
+    return _cmd_run(argv, bare=True)
 
 
 if __name__ == "__main__":

@@ -49,11 +49,35 @@ from repro.store import open_store
 from repro.store.keys import code_version
 
 
+def check_int(value: Any, name: str, low: Optional[int] = None) -> int:
+    """*value* as an integer parameter (a bool is not one), at least
+    *low* when given; the ValueError names *name*, the flag or field."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (low is not None and value < low)):
+        floor = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{floor}, "
+                         f"got {value!r}")
+    return value
+
+
+def check_count(value: Any, name: str) -> int:
+    """A count -- samples, iterations, ring capacity, workers: an
+    integer >= 1.  No samples have no worst case, and no workers run
+    no job."""
+    return check_int(value, name, 1)
+
+
+def check_seed(value: Any, name: str) -> int:
+    """A seed: an integer >= 0, the range numpy's generators take."""
+    return check_int(value, name, 0)
+
+
 def parse_seeds(text: str) -> Tuple[int, ...]:
     """Parse a seed list: ``"1..8"`` (inclusive) or ``"1,2,5"``.
 
     Rejects anything that would silently produce an empty or
-    backwards matrix: ``""``, ``"8..1"``, ``"1..x"``, ``","``.
+    backwards matrix -- ``""``, ``"8..1"``, ``"1..x"``, ``","`` -- and
+    any seed :func:`check_seed` refuses.
     """
     text = text.strip()
     if not text:
@@ -69,6 +93,7 @@ def parse_seeds(text: str) -> Tuple[int, ...]:
         if hi < lo:
             raise ValueError(
                 f"backwards seed range {text!r}: {lo} > {hi}")
+        check_seed(lo, "seed")
         return tuple(range(lo, hi + 1))
     try:
         seeds = tuple(int(part) for part in text.split(",")
@@ -81,6 +106,8 @@ def parse_seeds(text: str) -> Tuple[int, ...]:
         raise ValueError(
             f"seed list {text!r} names no seeds "
             f"(expected '1..8' or '1,2,5')")
+    for seed in seeds:
+        check_seed(seed, "seed")
     return seeds
 
 

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.experiments.campaign import check_count, check_seed
 from repro.experiments.cells import Cell, CellOutcome, execute_cells
 from repro.experiments.scenario import ScenarioSpec, run_scenario, scenario
 from repro.faults.plan import check_intensity
@@ -65,8 +66,10 @@ class MarginSpec:
             check_intensity(value, "intensities")
         if self.bound_ns <= 0:
             raise ValueError(f"bound_ns must be > 0, got {self.bound_ns}")
-        if self.samples is not None and self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.samples is not None:
+            check_count(self.samples, "samples")
+        if self.seed is not None:
+            check_seed(self.seed, "seed")
 
     def expand(self) -> List["MarginJob"]:
         """Two cells (shielded, unshielded) per intensity rung."""

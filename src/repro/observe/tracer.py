@@ -23,6 +23,16 @@ from repro.observe.chrometrace import export_chrome_trace
 from repro.observe.tracepoints import LockTracer, Tracepoints
 
 
+def check_percentile(value: Any, name: str) -> float:
+    """A percentile: a number in [0, 100]; the ValueError names *name*,
+    the flag or field."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 <= value <= 100):
+        raise ValueError(f"{name} must be a number in [0, 100], "
+                         f"got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class TraceConfig:
     """Knobs for one traced run."""
@@ -45,6 +55,7 @@ class TraceConfig:
         if self.capacity < 1:
             raise ValueError(f"trace capacity must be >= 1, "
                              f"got {self.capacity!r}")
+        check_percentile(self.threshold_pct, "trace threshold_pct")
 
 
 class SimTracer:

@@ -125,10 +125,10 @@ class JobSpec:
                 try:
                     value = parse_seeds(value)
                 except ValueError as exc:
-                    raise JobError(str(exc)) from None
+                    raise JobError(f"'seeds': {exc}") from None
             try:
-                out["seeds"] = tuple(int(s) for s in value)
-            except (TypeError, ValueError):
+                out["seeds"] = tuple(value)
+            except TypeError:
                 raise JobError(f"malformed seeds {value!r}") from None
         try:
             spec = cls(**out)
@@ -187,8 +187,11 @@ class JobSpec:
             raise JobError(str(exc)) from None
 
     def _check_numbers(self) -> None:
-        """Every numeric field in range, whatever the kind reads
-        (raises ValueError naming the field)."""
+        """Every numeric field in range, whatever the kind reads, by
+        the checkers the CLI's flags use (raises ValueError naming the
+        field)."""
+        from repro.experiments.campaign import (check_count, check_int,
+                                                check_seed)
         from repro.faults.margin import bound_ns_of
         from repro.faults.plan import check_intensity
 
@@ -200,10 +203,14 @@ class JobSpec:
         bound_ns_of(self.bound_us, "'bound_us'")
         for name in ("samples", "iterations", "capacity"):
             value = getattr(self, name)
-            if value is not None and (not isinstance(value, int)
-                                      or value < 1):
-                raise JobError(f"'{name}' must be an integer >= 1, "
-                               f"got {value!r}")
+            if value is not None:
+                check_count(value, f"'{name}'")
+        if self.seed is not None:
+            check_seed(self.seed, "'seed'")
+        for seed in self.seeds:
+            check_seed(seed, "every entry of 'seeds'")
+        check_int(self.priority, "'priority'")
+        check_int(self.max_workers, "'max_workers'", 0)
 
 
 def expand_cells(job: JobSpec) -> List[Cell]:

@@ -104,3 +104,55 @@ class TestTraceCapacity:
         assert f"argument {flag}: must be an integer >= 1" in (
             capsys.readouterr().err)
         assert not (tmp_path / "x.rtrace").exists()
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["fig7", "--samples", "50"], "--seed", "-1"),
+        (["run", "fig7", "--samples", "50"], "--seed", "-1"),
+        (["trace", "fig6", "--samples", "50"], "--seed", "-1"),
+        (["faults", "storm", "fig6", "--samples", "50"], "--seed", "-1"),
+        (["faults", "margin", "fig6", "--samples", "50", "--intensities",
+          "1"], "--seed", "-1"),
+        (["diff", "record", "fig6", "--samples", "50", "--out",
+          "x.rtrace"], "--seed", "-1"),
+        (["diff", "twin", "storm-fig6", "--samples", "50"], "--seed", "-1"),
+        (["submit", "figure", "--scenario", "fig7",
+          "--server", "http://127.0.0.1:9"], "--seed", "-1"),
+        (["campaign", "--scenarios", "fig7", "--samples", "50"],
+         "--seeds", "-2..1"),
+        (["submit", "campaign", "--scenarios", "fig7",
+          "--server", "http://127.0.0.1:9"], "--seeds", "-2..1"),
+        (["diff", "twin", "storm-fig6", "--samples", "50"],
+         "--intensity", "-1"),
+        (["diff", "record", "fig6", "--plan", "storm-fig6", "--samples",
+          "50", "--out", "x.rtrace"], "--intensity", "nan"),
+        (["faults", "storm", "fig6", "--samples", "50"],
+         "--intensity", "nan"),
+        (["campaign", "--scenarios", "fig7", "--fault-plan", "storm-fig7",
+          "--samples", "50"], "--fault-intensity", "nan"),
+        (["submit", "margin", "--scenario", "fig6",
+          "--server", "http://127.0.0.1:9"], "--intensities", "1,nan"),
+        (["faults", "margin", "fig6", "--samples", "50"],
+         "--intensities", ","),
+        (["submit", "margin", "--scenario", "fig6",
+          "--server", "http://127.0.0.1:9"], "--bound-us", "nan"),
+        (["submit", "figure", "--scenario", "fig7",
+          "--server", "http://127.0.0.1:9"], "--max-workers", "-1"),
+        (["trace", "fig7", "--samples", "50"], "--threshold-pct", "150"),
+        (["faults", "storm", "fig6", "--samples", "50", "--trace"],
+         "--threshold-pct", "-1"),
+    ], ids=["bare-seed", "run-seed", "trace-seed",
+            "storm-seed", "margin-seed", "diff-record-seed",
+            "diff-twin-seed", "submit-seed", "campaign-seeds",
+            "submit-seeds", "diff-twin-intensity",
+            "diff-record-intensity", "storm-intensity",
+            "campaign-fault-intensity", "submit-intensities",
+            "margin-empty-ladder", "submit-bound-us", "submit-max-workers",
+            "trace-threshold-pct", "storm-threshold-pct"])
+    def test_value_out_of_range_exits_2_naming_the_flag(
+            self, argv, flag, value, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "x.rtrace").exists()

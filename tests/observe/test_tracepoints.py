@@ -48,6 +48,16 @@ class TestRings:
             with pytest.raises(ValueError, match="capacity"):
                 TraceConfig(capacity=capacity)
 
+    @pytest.mark.parametrize("pct", [-1, 100.5, 150, float("nan"), "99",
+                                     True])
+    def test_trace_config_refuses_a_percentile_outside_0_to_100(self, pct):
+        with pytest.raises(ValueError, match="threshold_pct"):
+            TraceConfig(threshold_pct=pct)
+
+    @pytest.mark.parametrize("pct", [0, 50, 99.0, 100])
+    def test_trace_config_takes_a_percentile_in_0_to_100(self, pct):
+        assert TraceConfig(threshold_pct=pct).threshold_pct == pct
+
     def test_rows_are_plain_tuples(self):
         # Rows hold the plain-int code, never a TP member, so nothing
         # in a row keeps it tracked by the cyclic collector.

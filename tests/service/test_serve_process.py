@@ -2,7 +2,9 @@
 
 A client that starts ``serve`` and sends SIGTERM as soon as it reads the
 ``simserve listening on`` line must get the graceful drain -- exit 0 and
-``simserve stopped`` -- not the default SIGTERM kill.
+``simserve stopped`` -- not the default SIGTERM kill.  The line must
+reach a pipe whether or not Python's output is unbuffered: with
+``--port 0`` it is the only place the address appears.
 """
 
 import os
@@ -18,11 +20,21 @@ DEADLINE_S = 60.0
 
 
 def test_sigterm_right_after_the_announce_line_drains(tmp_path):
+    drain_after_announce(tmp_path, python_flags=["-u"])
+
+
+def test_announce_line_reaches_a_pipe_without_unbuffered_output(
+        tmp_path):
+    drain_after_announce(tmp_path, python_flags=[])
+
+
+def drain_after_announce(tmp_path, python_flags):
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.Popen(
-        [sys.executable, "-u", "-m", "repro.experiments", "serve",
+        [sys.executable, *python_flags, "-m", "repro.experiments", "serve",
          "--store", str(tmp_path / "store"), "--port", "0",
          "--workers", "1"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
