@@ -288,6 +288,17 @@ def _parser(path: str, description: str) -> argparse.ArgumentParser:
                                    description=description)
 
 
+def _json_dir(parser, path: str) -> None:
+    """Create ``--json-dir`` *path* before anything runs; a path that
+    cannot be a directory exits 2 through *parser*, naming the flag."""
+    if path:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            parser.error(f"--json-dir {path!r} is not a directory and "
+                         f"cannot be made one: {exc.strerror or exc}")
+
+
 def _scenario(name: str, parser=None):
     """The registered scenario *name*; an unknown one exits 1 with the
     message, or 2 through *parser* when given."""
@@ -376,6 +387,7 @@ def _cmd_run(argv, bare: bool = False) -> int:
             f"'all' (or use 'list-scenarios')" if bare else
             f"unknown scenario {args.name!r} (use 'list-scenarios')"
         ) from None
+    _json_dir(parser, args.json_dir)
     failures = _run_lint() if args.lint else 0
     for spec in specs:
         trace_out = args.trace_out
@@ -1214,8 +1226,7 @@ def _cmd_bounds(argv) -> int:
 
     names = list(args.scenarios) or list(scenario_names())
     failures = 0
-    if args.json_dir:
-        os.makedirs(args.json_dir, exist_ok=True)
+    _json_dir(parser, args.json_dir)
     for name in names:
         spec = _scenario(name, parser)
         try:

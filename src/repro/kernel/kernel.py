@@ -597,21 +597,26 @@ class Kernel:
     # ------------------------------------------------------------------
     def _acquire(self, task: Task, cpu_idx: int, lock: SpinLock) -> None:
         cpu = self.machine.cpus[cpu_idx]
+        tp = self.sim.tp
         task.preempt_count += 1
-        if task.preempt_count == 1:
-            tp = self.sim.tp
-            if tp.enabled:
-                tp.preempt_off(self.sim.now, cpu_idx, task.name)
+        if task.preempt_count == 1 and tp.enabled:
+            tp.preempt_off(self.sim.now, cpu_idx, task.name)
         if lock.irq_disabling:
             cpu.irq_disable()
             task.irq_disable_count += 1
         if not lock.held:
             lock.take(task, self.sim.now)
+            if tp.enabled:
+                tp.lock_acquire(self.sim.now, task.on_cpu, lock.name,
+                                task.name, lock.is_bkl)
             self._step(task, cpu_idx)
             return
         if lock.owner is task:
             raise KernelPanic(f"{task.name}: recursive acquire of {lock.name}")
         lock.enqueue_waiter(task)
+        if tp.enabled:
+            tp.lock_contended(self.sim.now, task.on_cpu, lock.name,
+                              task.name, lock.is_bkl)
         frame = ExecFrame(FrameKind.SPIN, None,
                           lambda f: self._spin_done(task, cpu_idx, lock),
                           label="spin",
@@ -627,19 +632,28 @@ class Kernel:
 
     def _release(self, task: Task, cpu_idx: int, lock: SpinLock) -> None:
         cpu = self.machine.cpus[cpu_idx]
-        nxt = lock.drop(task, self.sim.now)
+        tp = self.sim.tp
+        now = self.sim.now
+        since = lock.held_since
+        nxt = lock.drop(task, now)
+        # drop() repairs a lock whose hold time a panic cleared
+        # (held_since None); that release is not an event.
+        if tp.enabled and since is not None:
+            tp.lock_release(now, task.on_cpu, lock.name, task.name,
+                            now - since, lock.is_bkl)
         if nxt is not None:
             # Direct handoff preserves FIFO fairness under contention.
-            lock.take(nxt, self.sim.now)
+            lock.take(nxt, now)
+            if tp.enabled:
+                tp.lock_acquire(now, nxt.on_cpu, lock.name, nxt.name,
+                                lock.is_bkl)
             spinner_cpu = self.machine.cpus[nxt.on_cpu]
             spinner_cpu.grant_spin(nxt.spin_frame)
         task.preempt_count -= 1
         if task.preempt_count < 0:
             raise KernelPanic(f"{task.name}: preempt_count underflow")
-        if task.preempt_count == 0:
-            tp = self.sim.tp
-            if tp.enabled:
-                tp.preempt_on(self.sim.now, cpu_idx, task.name)
+        if task.preempt_count == 0 and tp.enabled:
+            tp.preempt_on(now, cpu_idx, task.name)
         if lock.irq_disabling:
             task.irq_disable_count -= 1
             cpu.irq_enable()

@@ -26,7 +26,7 @@ adding simulated time.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional, TYPE_CHECKING
+from typing import Deque, Optional, TYPE_CHECKING
 
 from repro.sim.errors import KernelPanic
 
@@ -50,8 +50,6 @@ class SpinLock:
         self.held_since: Optional[int] = None
         #: Observational validator hook (never perturbs the simulation).
         self.lockdep: Optional["LockdepValidator"] = None
-        #: Observational tracepoint hook (lock_acquire/contended/release).
-        self.tracer: Optional[Any] = None
         # Statistics for reports and tests.
         self.acquisitions = 0
         self.contentions = 0
@@ -74,8 +72,6 @@ class SpinLock:
         self.acquisitions += 1
         if self.lockdep is not None:
             self.lockdep.on_take(self, task, now)
-        if self.tracer is not None:
-            self.tracer.on_take(self, task, now)
 
     def drop(self, task: "Task", now: int) -> Optional["Task"]:
         """Release by *task*; returns the next FIFO waiter, if any."""
@@ -98,8 +94,6 @@ class SpinLock:
         self.held_since = None
         if self.lockdep is not None:
             self.lockdep.on_drop(self, task, now, hold)
-        if self.tracer is not None:
-            self.tracer.on_drop(self, task, now, hold)
         if self.waiters:
             return self.waiters.popleft()
         return None
@@ -137,8 +131,6 @@ class SpinLock:
         self.waiters.append(task)
         if self.lockdep is not None:
             self.lockdep.on_contend(self, task)
-        if self.tracer is not None:
-            self.tracer.on_contend(self, task)
 
     def account_spin(self, spin_ns: int) -> None:
         self.total_spin_ns += spin_ns

@@ -427,42 +427,3 @@ class Tracepoints:
         lis = self.listener
         if lis is not None:
             lis.fault_inject(now, cpu, injector, detail)
-
-
-#: Spinlock observer adapting the lock's tracer hook to the registry.
-#: Mirrors the ``lockdep`` hook: locks call ``on_take``/``on_drop``/
-#: ``on_contend`` when a tracer is attached.
-class LockTracer:
-    """Bridges :class:`~repro.kernel.sync.spinlock.SpinLock` hook
-    callbacks to lock tracepoints (the sync-layer emission path)."""
-
-    __slots__ = ("tp", "sim")
-
-    def __init__(self, tp: Tracepoints, sim) -> None:
-        self.tp = tp
-        self.sim = sim
-
-    @staticmethod
-    def _cpu_of(task) -> int:
-        cpu = getattr(task, "on_cpu", None)
-        if cpu is None:
-            cpu = getattr(task, "last_cpu", 0) or 0
-        return cpu
-
-    def on_take(self, lock, task, now: int) -> None:
-        tp = self.tp
-        if tp.enabled:
-            tp.lock_acquire(now, self._cpu_of(task), lock.name, task.name,
-                            lock.is_bkl)
-
-    def on_drop(self, lock, task, now: int, hold_ns: int) -> None:
-        tp = self.tp
-        if tp.enabled:
-            tp.lock_release(now, self._cpu_of(task), lock.name, task.name,
-                            hold_ns, lock.is_bkl)
-
-    def on_contend(self, lock, task) -> None:
-        tp = self.tp
-        if tp.enabled:
-            tp.lock_contended(self.sim.now, self._cpu_of(task), lock.name,
-                              task.name, lock.is_bkl)

@@ -1,13 +1,11 @@
 """SimTracer: one-run orchestration of the observability stack.
 
 Installs typed tracing on an assembled bench for the duration of one
-scenario run, mirroring the
-:class:`~repro.analysis.lockdep.LockdepValidator` install/uninstall
-discipline: lock objects get a ``tracer`` hook, the kernel's
-``_acquire`` is wrapped through an instance attribute only to
-lazily attach hooks to locks created after install, and the watched
-program's recorder methods are wrapped so every recorded sample feeds
-the attribution engine.  ``uninstall()`` restores everything.
+scenario run: it enables the simulator's tracepoints (every layer,
+locks included, emits through ``sim.tp`` at its call site) with the
+attribution engine as their listener, and wraps the watched program's
+recorder methods so every recorded sample feeds that engine.
+``uninstall()`` restores everything.
 
 Nothing here consumes simulated time or randomness: a traced run is
 byte-identical to an untraced one (the golden sweep enforces this).
@@ -20,7 +18,7 @@ from typing import Any, Dict, Optional
 
 from repro.observe.attribution import AttributionEngine
 from repro.observe.chrometrace import export_chrome_trace
-from repro.observe.tracepoints import LockTracer, Tracepoints
+from repro.observe.tracepoints import Tracepoints
 
 
 def check_percentile(value: Any, name: str) -> float:
@@ -68,11 +66,7 @@ class SimTracer:
         self.tp: Tracepoints = bench.sim.tp
         preemptible = getattr(bench.kernel.config, "preemptible", False)
         self.engine = AttributionEngine(bench.machine.ncpus, preemptible)
-        self._lock_tracer = LockTracer(self.tp, bench.sim)
-        self._attached: list = []
         self._watched: list = []
-        self._had_acquire = False
-        self._orig_acquire: Any = None
         self._installed = False
 
     # ==================================================================
@@ -89,38 +83,12 @@ class SimTracer:
         tp.clear()
         tp.listener = self.engine
         tp.enable()
-
-        kernel = self.bench.kernel
-        for lock in vars(kernel.locks).values():
-            self.attach_lock(lock)
-
-        # Locks built after install (driver-private ones) get hooked
-        # lazily the first time a task takes them.
-        self._had_acquire = "_acquire" in kernel.__dict__
-        orig_acquire = kernel._acquire
-        self._orig_acquire = orig_acquire
-
-        def acquire(task, cpu_idx, lock):
-            if lock.tracer is not self._lock_tracer:
-                self.attach_lock(lock)
-            orig_acquire(task, cpu_idx, lock)
-
-        kernel._acquire = acquire
         return self
 
     def uninstall(self) -> None:
         if not self._installed:
             return
         self._installed = False
-        kernel = self.bench.kernel
-        for lock in self._attached:
-            lock.tracer = None
-        self._attached.clear()
-        if self._had_acquire:
-            kernel._acquire = self._orig_acquire
-        elif "_acquire" in kernel.__dict__:
-            del kernel.__dict__["_acquire"]
-        self._orig_acquire = None
         for recorder, orig_return, orig_latency in self._watched:
             if orig_return is None:
                 recorder.__dict__.pop("record_return", None)
@@ -134,13 +102,6 @@ class SimTracer:
         tp = self.tp
         tp.listener = None
         tp.disable()
-
-    def attach_lock(self, lock: Any) -> None:
-        """Hook one spinlock's tracer callback (idempotent)."""
-        if getattr(lock, "tracer", None) is self._lock_tracer:
-            return
-        lock.tracer = self._lock_tracer
-        self._attached.append(lock)
 
     # ==================================================================
     # The watched measurement program

@@ -227,9 +227,11 @@ class JobQueue:
                 f"jobs live); retry after one finishes")
         record = JobRecord(job_id=job_id, spec=spec,
                            seq=next(self._seq))
+        # Journaled before it is admitted: a save that raises (a full
+        # disk) leaves no trace, so a resubmit creates the job.
+        self._save(record)
         self._records[job_id] = record
         self._push(record)
-        self._save(record)
         return record, True
 
     def _push(self, record: JobRecord) -> None:

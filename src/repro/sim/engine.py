@@ -13,7 +13,8 @@ interrupts, locking) live in the hardware/kernel layers.  Keeping the
 engine dumb makes its behaviour easy to verify exhaustively, which the
 rest of the system then inherits.
 
-Hot-path design (the perf suite in ``benchmarks/perf`` tracks this):
+Hot-path design (``tests/sim/test_engine_cost.py`` holds the calls and
+objects it costs per event under the ceilings it sets):
 
 * One heap holds every pending event as a packed ``(when << 44) |
   seq`` integer key, so ``heapq`` comparisons are single C int
@@ -137,8 +138,8 @@ class Simulator:
     def at(self, when: int, callback: Callable[[], None],
            label: Optional[str] = None) -> EventHandle:
         """Schedule *callback* at absolute time *when* (ns)."""
-        # Inlined EventHandle construction: the handle only wraps the
-        # key, so skip __init__'s key packing.
+        # Inlined EventHandle construction: one Python call fewer per
+        # one-shot than calling __init__.
         handle = _new_handle(EventHandle)
         handle.key = self.schedule(when, callback, label)
         handle.callback = callback
@@ -182,10 +183,7 @@ class Simulator:
             first = self.now + first_delay
         else:
             first = self.now + period
-        # Built with a placeholder seq: schedule() draws the real one,
-        # as it does for every one-shot.
-        handle = PeriodicHandle(first, 0, period, callback, label)
-        handle._owner = self
+        handle = PeriodicHandle(self, period, callback, label)
         handle.key = self.schedule(first, handle._fire_cb, label)
         return handle
 

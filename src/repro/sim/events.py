@@ -39,72 +39,43 @@ _heappush = heapq.heappush
 class EventHandle:
     """A scheduled one-shot callback that may be cancelled before firing.
 
-    The handle does not carry its own liveness: an engine-owned handle
-    is alive iff its key is still present in the owner's table, so
-    firing an event is a single dict pop with no handle write-back.  A
-    handle constructed without an owner (unit tests, ad-hoc use) tracks
-    liveness by flipping its key's sign instead.
+    A :class:`~repro.sim.engine.Simulator` makes every handle and owns
+    it.  The handle does not carry its own liveness: it is alive iff
+    its key is still present in the owner's table, so firing an event
+    is a single dict pop with no handle write-back.
     """
 
     __slots__ = ("key", "callback", "label", "_owner")
 
-    def __init__(self, when: int, seq: int, callback: Callable[[], Any],
+    def __init__(self, owner: Any, key: int, callback: Callable[[], Any],
                  label: Optional[str] = None) -> None:
-        self.key = (when << SEQ_BITS) | seq
+        self.key = key
         self.callback = callback
         self.label = label
-        self._owner = None  # set by the scheduling Simulator
+        self._owner = owner
 
     @property
     def when(self) -> int:
         """Absolute simulation time (ns) at which the event fires."""
-        key = self.key
-        if key < 0:
-            key = ~key
-        return key >> SEQ_BITS
+        return self.key >> SEQ_BITS
 
     @property
     def seq(self) -> int:
         """Schedule sequence number (tie-break within a timestamp)."""
-        key = self.key
-        if key < 0:
-            key = ~key
-        return key & SEQ_MASK
+        return self.key & SEQ_MASK
 
     @property
     def alive(self) -> bool:
         """True until the event fires or is cancelled."""
-        owner = self._owner
-        if owner is not None:
-            return self.key in owner._handles
-        return self.key >= 0
+        return self.key in self._owner._handles
 
     def cancel(self) -> bool:
         """Cancel the event.  Returns True if it had not yet fired.
 
-        An engine-owned handle cancels through
-        :meth:`~repro.sim.engine.Simulator.cancel`, the engine's one
-        cancel policy.
+        Goes through :meth:`~repro.sim.engine.Simulator.cancel`, the
+        engine's one cancel policy.
         """
-        owner = self._owner
-        if owner is not None:
-            return owner.cancel(self.key)
-        if self.key < 0:
-            return False
-        self.key = ~self.key
-        return True
-
-    def _consume(self) -> bool:
-        """Mark an *unowned* handle as fired (test aid)."""
-        if self.key < 0:
-            return False
-        self.key = ~self.key
-        return True
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        # Retained for callers that sort handles; the engine's heap
-        # compares bare packed keys instead.
-        return self.key < other.key
+        return self._owner.cancel(self.key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else "dead"
@@ -124,10 +95,12 @@ class PeriodicHandle(EventHandle):
 
     __slots__ = ("period", "_alive", "_fire_cb")
 
-    def __init__(self, when: int, seq: int, period: int,
+    def __init__(self, owner: Any, period: int,
                  callback: Callable[[], Any],
                  label: Optional[str] = None) -> None:
-        super().__init__(when, seq, callback, label)
+        # Built with a placeholder key: the owner schedules the first
+        # fire, which draws the real one as every one-shot does.
+        super().__init__(owner, 0, callback, label)
         self.period = period
         self._alive = True
         # The table entry for every armed key, bound once: a fresh

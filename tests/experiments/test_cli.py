@@ -48,6 +48,38 @@ class TestCli:
         assert set(LATENCY) == {"fig5", "fig6", "fig7"}
 
 
+class TestJsonDir:
+    def test_a_missing_nested_directory_is_created(self, capsys, tmp_path):
+        out_dir = tmp_path / "a" / "b"
+        rc = main(["run", "fig7", "--samples", "20", "--profile",
+                   "--json-dir", str(out_dir)])
+        assert rc == 0
+        data = json.loads((out_dir / "fig7.json").read_text())
+        assert data["samples"] == 20
+        assert (out_dir / "fig7.pstats").stat().st_size > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig7", "--samples", "20"],
+        ["fig7", "--samples", "20"],
+        ["bounds", "fig7"],
+    ], ids=["run", "bare", "bounds"])
+    def test_a_file_at_the_path_exits_2_before_any_run(
+            self, argv, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "taken"
+        path.write_text("")
+
+        def run_scenario(*args, **kwargs):
+            raise AssertionError("a scenario ran despite --json-dir")
+        monkeypatch.setattr("repro.experiments.__main__.run_scenario",
+                            run_scenario)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--json-dir", str(path)])
+        assert exc.value.code == 2
+        assert (f"--json-dir {str(path)!r} is not a directory"
+                in capsys.readouterr().err)
+        assert path.read_text() == ""
+
+
 class TestTraceCapacity:
     @pytest.mark.parametrize("argv", [
         ["trace", "fig6", "--samples", "50"],

@@ -221,6 +221,32 @@ class TestJournal:
             assert fh.read() == before
 
 
+    def test_a_failed_first_save_admits_nothing(self, tmp_path):
+        journal = _FullOnce(str(tmp_path / "journal"))
+        queue = JobQueue(capacity=8, journal=journal)
+        with pytest.raises(OSError) as excinfo:
+            queue.submit(fig_spec(1), "abc")
+        assert excinfo.value.errno == errno.ENOSPC
+        assert queue.records() == []
+        assert not queue.has_queued()
+        record, created = queue.submit(fig_spec(1), "abc")
+        assert created and record.state == "queued"
+        assert [r.job_id for r in JobJournal(journal.root).load_all()] == [
+            "abc"]
+
+
+class _FullOnce(JobJournal):
+    """A journal whose first save fails as on a full disk."""
+
+    failed = False
+
+    def save(self, record):
+        if not self.failed:
+            self.failed = True
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        super().save(record)
+
+
 _OPS = ("submit", "pop", "cancel", "requeue", "finish", "fail", "recover")
 
 

@@ -1,32 +1,34 @@
-"""Unit tests for EventHandle semantics."""
+"""Unit tests for EventHandle semantics.
 
-from repro.sim.events import EventHandle
+Every handle belongs to the simulator that scheduled it, and is alive
+exactly while its key is in that simulator's table.
+"""
 
 
 class TestEventHandle:
-    def test_ordering_by_time(self):
-        a = EventHandle(10, 0, lambda: None)
-        b = EventHandle(20, 1, lambda: None)
-        assert a < b and not b < a
-
-    def test_tie_break_by_sequence(self):
-        a = EventHandle(10, 0, lambda: None)
-        b = EventHandle(10, 1, lambda: None)
-        assert a < b
-
-    def test_alive_lifecycle(self):
-        h = EventHandle(1, 0, lambda: None)
-        assert h.alive
-        assert h._consume() is True
-        assert not h.alive
-        assert h._consume() is False
-
-    def test_cancel_semantics(self):
-        h = EventHandle(1, 0, lambda: None)
-        assert h.cancel() is True
-        assert h.cancel() is False
-        assert not h.alive
-
-    def test_label_stored(self):
-        h = EventHandle(1, 0, lambda: None, label="tick")
+    def test_label_stored(self, sim):
+        h = sim.at(1, lambda: None, label="tick")
         assert h.label == "tick"
+
+    def test_when_and_seq_come_from_the_key(self, sim):
+        sim.at(5, lambda: None)
+        h = sim.after(5, lambda: None)
+        assert (h.when, h.seq) == (5, 1)
+
+    def test_alive_until_fired(self, sim):
+        fired = []
+        h = sim.at(1, lambda: fired.append(sim.now))
+        assert h.alive
+        sim.run()
+        assert fired == [1]
+        assert not h.alive
+        assert h.cancel() is False
+
+    def test_cancel_semantics(self, sim):
+        fired = []
+        h = sim.at(1, lambda: fired.append(sim.now))
+        assert h.cancel() is True
+        assert not h.alive
+        assert h.cancel() is False
+        sim.run()
+        assert fired == []
