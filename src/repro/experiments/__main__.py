@@ -73,6 +73,7 @@ from dataclasses import fields
 
 from repro.experiments.campaign import (
     check_count,
+    check_distinct,
     check_int,
     check_seed,
     parse_seeds,
@@ -125,6 +126,19 @@ def _checked(check, parse=int):
 
 
 _COUNT = _checked(check_count)
+
+
+def _names(text: str):
+    """The names of a comma-separated list, blanks dropped."""
+    return tuple(n.strip() for n in text.split(",") if n.strip())
+
+
+@_argtype
+def _scenario_list(text: str) -> str:
+    """argparse type of ``--scenarios``: the text as given (``submit``
+    posts it so), refused when it names a scenario twice."""
+    check_distinct(_names(text), f"scenario list {text!r}")
+    return text
 
 
 @_argtype
@@ -185,8 +199,9 @@ def _days(text: str) -> float:
 #: something else: ``serve --capacity`` (queue slots) and
 #: ``status --report`` (a switch).
 FLAGS = {
-    "--scenarios": dict(default="", help="comma-separated scenario "
-                        "names (see list-scenarios)"),
+    "--scenarios": dict(type=_scenario_list, default="",
+                        help="comma-separated scenario names (see "
+                        "list-scenarios)"),
     "--seeds": dict(type=_argtype(parse_seeds),
                     help="seed list: '1..8' or '1,2,5'"),
     "--iterations": dict(type=_COUNT,
@@ -283,20 +298,41 @@ def _add(parser, *names, required=False, metavar=None,
         raise TypeError(f"no such flag among {names}: {sorted(defaults)}")
 
 
-def _parser(path: str, description: str) -> argparse.ArgumentParser:
-    return argparse.ArgumentParser(prog=f"{PROG} {path}".rstrip(),
-                                   description=description)
+#: The flags, by dest, that name where a command writes: ``--json-dir``
+#: a directory, the others a file.
+OUTPUTS = {"json_dir": "--json-dir", "trace_out": "--trace-out",
+           "json": "--json", "report": "--report", "out": "--out"}
 
 
-def _json_dir(parser, path: str) -> None:
-    """Create ``--json-dir`` *path* before anything runs; a path that
-    cannot be a directory exits 2 through *parser*, naming the flag."""
-    if path:
+class _Parser(argparse.ArgumentParser):
+    """A subcommand's parser.  Once the arguments parse, every output
+    flag's directory exists, before anything runs: a missing one is
+    made, and a path that cannot be written exits 2 naming the flag."""
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        for dest, flag in OUTPUTS.items():
+            path = getattr(parsed, dest, None)
+            if isinstance(path, str) and path:  # status --report: a switch
+                self._make_directory(flag, path)
+        return parsed
+
+    def _make_directory(self, flag: str, path: str) -> None:
+        directory = path if flag == "--json-dir" else os.path.dirname(path)
+        if directory != path and os.path.isdir(path):
+            self.error(f"{flag} {path!r} is a directory, not a file")
+        if not directory:
+            return
         try:
-            os.makedirs(path, exist_ok=True)
+            os.makedirs(directory, exist_ok=True)
         except OSError as exc:
-            parser.error(f"--json-dir {path!r} is not a directory and "
-                         f"cannot be made one: {exc.strerror or exc}")
+            where = "" if directory == path else f": {directory!r}"
+            self.error(f"{flag} {path!r}{where} is not a directory and "
+                       f"cannot be made one: {exc.strerror or exc}")
+
+
+def _parser(path: str, description: str) -> argparse.ArgumentParser:
+    return _Parser(prog=f"{PROG} {path}".rstrip(), description=description)
 
 
 def _scenario(name: str, parser=None):
@@ -387,7 +423,6 @@ def _cmd_run(argv, bare: bool = False) -> int:
             f"'all' (or use 'list-scenarios')" if bare else
             f"unknown scenario {args.name!r} (use 'list-scenarios')"
         ) from None
-    _json_dir(parser, args.json_dir)
     failures = _run_lint() if args.lint else 0
     for spec in specs:
         trace_out = args.trace_out
@@ -494,7 +529,7 @@ def _cmd_campaign(argv) -> int:
                              "export then carries merges only)")
     args = parser.parse_args(argv)
 
-    names = tuple(n.strip() for n in args.scenarios.split(",") if n.strip())
+    names = _names(args.scenarios)
     store = _store_arg(args.store)
     if store is None and (not args.use_cache or args.resume):
         parser.error("--no-cache/--resume need --store")
@@ -1226,7 +1261,6 @@ def _cmd_bounds(argv) -> int:
 
     names = list(args.scenarios) or list(scenario_names())
     failures = 0
-    _json_dir(parser, args.json_dir)
     for name in names:
         spec = _scenario(name, parser)
         try:

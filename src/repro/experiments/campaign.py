@@ -33,6 +33,7 @@ Usage::
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -72,12 +73,24 @@ def check_seed(value: Any, name: str) -> int:
     return check_int(value, name, 0)
 
 
+def check_distinct(values: Tuple[Any, ...], name: str) -> Tuple[Any, ...]:
+    """*values*, a seed or scenario list, with no entry twice; the
+    ValueError names *name*.  A repeated entry would run the same cell
+    twice under one store key and double its weight in the merge."""
+    repeated = [value for value, n in Counter(values).items() if n > 1]
+    if repeated:
+        raise ValueError(f"{name} repeats "
+                         f"{', '.join(repr(v) for v in repeated)}: "
+                         f"each entry must appear once")
+    return values
+
+
 def parse_seeds(text: str) -> Tuple[int, ...]:
     """Parse a seed list: ``"1..8"`` (inclusive) or ``"1,2,5"``.
 
-    Rejects anything that would silently produce an empty or
-    backwards matrix -- ``""``, ``"8..1"``, ``"1..x"``, ``","`` -- and
-    any seed :func:`check_seed` refuses.
+    Rejects anything that would silently produce an empty, backwards
+    or doubled matrix -- ``""``, ``"8..1"``, ``"1..x"``, ``","``,
+    ``"1,1"`` -- and any seed :func:`check_seed` refuses.
     """
     text = text.strip()
     if not text:
@@ -108,7 +121,7 @@ def parse_seeds(text: str) -> Tuple[int, ...]:
             f"(expected '1..8' or '1,2,5')")
     for seed in seeds:
         check_seed(seed, "seed")
-    return seeds
+    return check_distinct(seeds, f"seed list {text!r}")
 
 
 @dataclass(frozen=True)

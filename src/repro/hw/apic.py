@@ -31,6 +31,11 @@ class RoutingPolicy(enum.Enum):
     LOWEST = "lowest"
 
 
+#: Enum members this module's functions read, bound once (see
+#: tests/test_hot_enum_reads.py).
+_LOWEST = RoutingPolicy.LOWEST
+
+
 class IrqDescriptor:
     """State for one interrupt line."""
 
@@ -104,7 +109,7 @@ class Apic:
             # All allowed CPUs offline: fall back to CPU 0, as real
             # hardware falls back to the boot CPU.
             return self.machine.cpus[0]
-        if desc.routing is RoutingPolicy.LOWEST or len(candidates) == 1:
+        if desc.routing is _LOWEST or len(candidates) == 1:
             return candidates[0]
         idle = [c for c in candidates if not c.busy]
         if idle:

@@ -38,7 +38,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class FrameKind(enum.Enum):
-    """What kind of execution a frame represents."""
+    """What kind of execution a frame represents.
+
+    The frame tracepoints read ``kind._value_``, a plain attribute, not
+    the ``Enum.value`` descriptor: that is Python-level enum code, and
+    it would run on every push and pop.
+    """
 
     TASK = "task"
     HARDIRQ = "hardirq"
@@ -46,12 +51,12 @@ class FrameKind(enum.Enum):
     SPIN = "spin"
     SWITCH = "switch"
 
-    # Enum's default __hash__ is a Python-level function; these members
-    # key the per-CPU frame-kind counters on every push/pop, so use the
-    # identity hash (members are singletons, equality is identity).
-    # For the same reason the frame tracepoints read ``kind._value_``,
-    # a plain attribute, not the ``Enum.value`` descriptor.
-    __hash__ = object.__hash__
+
+#: The members the frame path compares against, bound once: on Python
+#: 3.10 and 3.11 each ``FrameKind.TASK`` read goes through
+#: ``EnumType.__getattr__`` (tests/test_hot_enum_reads.py says more).
+_TASK = FrameKind.TASK
+_SPIN = FrameKind.SPIN
 
 
 class ExecFrame:
@@ -105,13 +110,10 @@ class LogicalCpu:
         self.core = core
         self.tp = sim.tp
         self.frames: List[ExecFrame] = []
-        #: Per-kind frame counts, maintained on push/pop so the
-        #: kernel's per-op context checks are O(1) lookups instead of
-        #: stack scans (in_kind is called several times per op).
-        self._kind_counts = dict.fromkeys(FrameKind, 0)
-        #: Aggregate counters the kernel's hottest per-op checks read
-        #: directly: hss_count covers HARDIRQ/SOFTIRQ/SWITCH frames,
-        #: spin_count covers SPIN frames.
+        #: Frame counts the kernel's per-op context checks read instead
+        #: of scanning the stack: hss_count covers HARDIRQ/SOFTIRQ/SWITCH
+        #: frames, spin_count covers SPIN frames.  They are maintained on
+        #: push/pop; rarer per-kind questions go through in_kind.
         self.hss_count = 0
         self.spin_count = 0
         #: Hyperthread sibling on the same core (set by the core when
@@ -169,8 +171,13 @@ class LogicalCpu:
         return self.frames[-1] if self.frames else None
 
     def in_kind(self, kind: FrameKind) -> bool:
-        """True if any frame of *kind* is on the stack (O(1))."""
-        return self._kind_counts[kind] > 0
+        """True if any frame of *kind* is on the stack.
+
+        A scan of a stack a few frames deep: the kernel asks once per
+        interrupt exit, far less often than frames are pushed and
+        popped, so no per-kind count is kept.
+        """
+        return any(frame.kind is kind for frame in self.frames)
 
     # ------------------------------------------------------------------
     # Frame stack operations
@@ -183,9 +190,8 @@ class LogicalCpu:
             self._pause_top()
         frames.append(frame)
         kind = frame.kind
-        self._kind_counts[kind] += 1
-        if kind is not FrameKind.TASK:
-            if kind is FrameKind.SPIN:
+        if kind is not _TASK:
+            if kind is _SPIN:
                 self.spin_count += 1
             else:
                 self.hss_count += 1
@@ -205,7 +211,7 @@ class LogicalCpu:
     def _start_top(self) -> None:
         frame = self.frames[-1]
         frame.started_at = self.sim.now
-        if frame.kind is FrameKind.SPIN:
+        if frame.kind is _SPIN:
             # Spin frames burn CPU until granted; no completion event.
             if frame.granted:
                 # Lock was handed over while we were preempted.
@@ -247,7 +253,7 @@ class LogicalCpu:
 
     def _pause_top(self) -> None:
         frame = self.frames[-1]
-        if frame.kind is not FrameKind.SPIN and frame.started_at is not None:
+        if frame.kind is not _SPIN and frame.started_at is not None:
             elapsed = self.sim.now - frame.started_at
             rem = frame.remaining - elapsed * frame.speed
             frame.remaining = rem if rem > 0.0 else 0.0
@@ -265,9 +271,8 @@ class LogicalCpu:
         """
         frame = self.frames.pop()
         kind = frame.kind
-        self._kind_counts[kind] -= 1
-        if kind is not FrameKind.TASK:
-            if kind is FrameKind.SPIN:
+        if kind is not _TASK:
+            if kind is _SPIN:
                 self.spin_count -= 1
             else:
                 self.hss_count -= 1
@@ -288,9 +293,8 @@ class LogicalCpu:
     def _complete_top(self) -> None:
         frame = self.frames.pop()
         kind = frame.kind
-        self._kind_counts[kind] -= 1
-        if kind is not FrameKind.TASK:
-            if kind is FrameKind.SPIN:
+        if kind is not _TASK:
+            if kind is _SPIN:
                 self.spin_count -= 1
             else:
                 self.hss_count -= 1
@@ -318,9 +322,8 @@ class LogicalCpu:
         self._pause_top()
         self.frames.pop()
         kind = frame.kind
-        self._kind_counts[kind] -= 1
-        if kind is not FrameKind.TASK:
-            if kind is FrameKind.SPIN:
+        if kind is not _TASK:
+            if kind is _SPIN:
                 self.spin_count -= 1
             else:
                 self.hss_count -= 1
@@ -355,7 +358,7 @@ class LogicalCpu:
         if not self.frames:
             return
         top = self.frames[-1]
-        if top.kind is FrameKind.SPIN or top.started_at is None:
+        if top.kind is _SPIN or top.started_at is None:
             return
         self._pause_top()
         self._start_top()

@@ -21,6 +21,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
     from repro.kernel.syscalls import UserApi
 
+#: Enum members this module's functions read, bound once (see
+#: tests/test_hot_enum_reads.py).
+_BLOCK = SoftirqVector.BLOCK
+
 
 class BlockDriver(CharDriver):
     """SCSI block driver."""
@@ -49,8 +53,8 @@ class BlockDriver(CharDriver):
                 if wq is not None:
                     self.kernel.wake_up(wq, from_cpu=None)
 
-            self.kernel.raise_softirq(cpu_idx, SoftirqVector.BLOCK, work,
-                                      done, from_irq=True)
+            self.kernel.raise_softirq(cpu_idx, _BLOCK, work, done,
+                                      from_irq=True)
 
     def submit_and_wait(self, api: "UserApi", sectors: int = 8) -> Generator:
         """Queue one request and block until its completion softirq."""

@@ -18,6 +18,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.devices.gpu import GraphicsController
     from repro.kernel.kernel import Kernel
 
+#: Enum members this module's functions read, bound once (see
+#: tests/test_hot_enum_reads.py).
+_TASKLET = SoftirqVector.TASKLET
+
 
 class GfxDriver(CharDriver):
     """Kernel half of the graphics controller."""
@@ -35,5 +39,4 @@ class GfxDriver(CharDriver):
         self.handled += 1
         work = self.sample("softirq.gfx_tasklet")
         if work > 0:
-            self.kernel.raise_softirq(cpu_idx, SoftirqVector.TASKLET, work,
-                                      from_irq=True)
+            self.kernel.raise_softirq(cpu_idx, _TASKLET, work, from_irq=True)

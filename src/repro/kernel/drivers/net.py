@@ -27,6 +27,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.devices.nic import EthernetNic
     from repro.kernel.kernel import Kernel
 
+#: Enum members this module's functions read, bound once (see
+#: tests/test_hot_enum_reads.py).
+_NET_RX = SoftirqVector.NET_RX
+
 
 class SimSocket:
     """A receive endpoint tasks can block on."""
@@ -109,8 +113,8 @@ class NetDriver(CharDriver):
                 sock.deliver(packets)
                 self.kernel.wake_up(sock.wq, from_cpu=None)
 
-        self.kernel.raise_softirq(cpu_idx, SoftirqVector.NET_RX, work,
-                                  done, from_irq=from_irq)
+        self.kernel.raise_softirq(cpu_idx, _NET_RX, work, done,
+                                  from_irq=from_irq)
 
     # ------------------------------------------------------------------
     def loopback_deliver(self, packets: int,

@@ -51,6 +51,20 @@ from repro.sim.errors import KernelPanic
 IPI_RESCHED_IRQ = 999
 LOCAL_TIMER_IRQ_BASE = 1000
 
+#: Enum members this module's functions read, bound once (see
+#: tests/test_hot_enum_reads.py).
+_TASK = FrameKind.TASK
+_HARDIRQ = FrameKind.HARDIRQ
+_SOFTIRQ = FrameKind.SOFTIRQ
+_SPIN = FrameKind.SPIN
+_SWITCH = FrameKind.SWITCH
+_READY = TaskState.READY
+_RUNNING = TaskState.RUNNING
+_BLOCKED = TaskState.BLOCKED
+_EXITED = TaskState.EXITED
+_SCHED_OTHER = SchedPolicy.OTHER
+_TIMER_SOFTIRQ = SoftirqVector.TIMER
+
 
 class Kernel:
     """A booted kernel instance bound to one simulated machine."""
@@ -163,7 +177,7 @@ class Kernel:
             for i in range(self.ncpus):
                 self.ksoftirqd_tasks[i] = self.create_task(
                     f"ksoftirqd/{i}", self._ksoftirqd_body(i),
-                    policy=SchedPolicy.OTHER, nice=19,
+                    policy=_SCHED_OTHER, nice=19,
                     affinity=CpuMask.single(i), kernel_thread=True)
 
     # ==================================================================
@@ -195,10 +209,10 @@ class Kernel:
 
     def iter_tasks(self):
         """All non-exited tasks (shield interface)."""
-        return [t for t in self.tasks.values() if t.state is not TaskState.EXITED]
+        return [t for t in self.tasks.values() if t.state is not _EXITED]
 
     def _task_exit(self, task: Task, cpu_idx: int, value: Any) -> None:
-        task.state = TaskState.EXITED
+        task.state = _EXITED
         task.exit_code = value if isinstance(value, int) else 0
         task.on_cpu = None
         task.last_cpu = cpu_idx
@@ -221,7 +235,7 @@ class Kernel:
                 task.requested_affinity)
         else:
             task.effective_affinity = task.requested_affinity
-        if task.state is TaskState.READY:
+        if task.state is _READY:
             queued_ok = True
             # O(1) keeps tasks on per-CPU queues; requeue if misplaced.
             where = getattr(self.scheduler, "_where", None)
@@ -231,7 +245,7 @@ class Kernel:
             if not queued_ok:
                 self.stats.migrations += 1
                 self.scheduler.requeue(task)
-        elif (task.state is TaskState.RUNNING and task.on_cpu is not None
+        elif (task.state is _RUNNING and task.on_cpu is not None
               and task.on_cpu not in task.effective_affinity):
             # Push the task off the now-forbidden CPU at the earliest
             # legal opportunity.
@@ -268,7 +282,7 @@ class Kernel:
 
     def wake_task(self, task: Task, from_cpu: Optional[int] = None) -> None:
         """Wake a specific blocked task (timer expiry path)."""
-        if task.state is not TaskState.BLOCKED:
+        if task.state is not _BLOCKED:
             return
         if task.waiting_on is not None:
             task.waiting_on.remove(task)
@@ -276,9 +290,9 @@ class Kernel:
         self._make_runnable(task, from_cpu)
 
     def _make_runnable(self, task: Task, from_cpu: Optional[int]) -> None:
-        if task.state in (TaskState.READY, TaskState.RUNNING):
+        if task.state in (_READY, _RUNNING):
             return
-        task.state = TaskState.READY
+        task.state = _READY
         target = self.scheduler.enqueue(task)
         tp = self.sim.tp
         if tp.enabled:
@@ -363,7 +377,7 @@ class Kernel:
             return
         self.stats.context_switches += 1
         cost = self.scheduler.switch_cost_ns(cpu_idx)
-        frame = ExecFrame(FrameKind.SWITCH, cost,
+        frame = ExecFrame(_SWITCH, cost,
                           lambda f: self._finish_switch(cpu_idx, nxt),
                           label="switch")
         cpu.push_frame(frame)
@@ -371,7 +385,7 @@ class Kernel:
     def _deschedule_current(self, cpu: LogicalCpu, prev: Task) -> None:
         """Take *prev* off the CPU, saving its continuation."""
         top = cpu.top
-        if (top is not None and top.kind is FrameKind.TASK
+        if (top is not None and top.kind is _TASK
                 and top.owner is prev):
             # Preempted mid-compute: bank the remaining work.
             cpu._pause_top()
@@ -382,9 +396,9 @@ class Kernel:
         prev.last_cpu = cpu.index
         self.current[cpu.index] = None
         tp = self.sim.tp
-        if prev.state is TaskState.RUNNING:
+        if prev.state is _RUNNING:
             # Involuntary preemption: back on the queue, at the front.
-            prev.state = TaskState.READY
+            prev.state = _READY
             self.stats.preemptions += 1
             target = self.scheduler.enqueue(prev, preempted=True)
             if tp.enabled:
@@ -398,14 +412,14 @@ class Kernel:
         elif tp.enabled:
             # Voluntary: the task blocked/exited before schedule() ran.
             tp.sched_desched(self.sim.now, cpu.index, prev.name,
-                             prev.state is TaskState.READY, cpu.index)
+                             prev.state is _READY, cpu.index)
 
     def _finish_switch(self, cpu_idx: int, nxt: Task) -> None:
         self._install_task(cpu_idx, nxt)
         self._continue_task(nxt, cpu_idx)
 
     def _install_task(self, cpu_idx: int, task: Task) -> None:
-        task.state = TaskState.RUNNING
+        task.state = _RUNNING
         task.on_cpu = cpu_idx
         task.last_cpu = cpu_idx
         task.switches += 1
@@ -570,7 +584,7 @@ class Kernel:
                      work: int) -> None:
         cpu = self.machine.cpus[cpu_idx]
         task.current_compute = o
-        frame = ExecFrame(FrameKind.TASK, work if work > 0 else 0,
+        frame = ExecFrame(_TASK, work if work > 0 else 0,
                           self._compute_done,
                           label=o.label or ("kcode" if o.kernel else "ucode"),
                           owner=task)
@@ -617,7 +631,7 @@ class Kernel:
         if tp.enabled:
             tp.lock_contended(self.sim.now, task.on_cpu, lock.name,
                               task.name, lock.is_bkl)
-        frame = ExecFrame(FrameKind.SPIN, None,
+        frame = ExecFrame(_SPIN, None,
                           lambda f: self._spin_done(task, cpu_idx, lock),
                           label="spin",
                           owner=task)
@@ -681,7 +695,7 @@ class Kernel:
             raise KernelPanic(
                 f"{task.name} blocking on {wq.name} while holding a "
                 f"spinlock (preempt_count={task.preempt_count})")
-        task.state = TaskState.BLOCKED
+        task.state = _BLOCKED
         task.waiting_on = wq
         wq.add(task)
         self.schedule(cpu_idx)
@@ -697,7 +711,7 @@ class Kernel:
             return
         # try_down queued the task on the semaphore's wait list; it is
         # woken by the owner's up() via _sem_up below.
-        task.state = TaskState.BLOCKED
+        task.state = _BLOCKED
         self.schedule(cpu_idx)
 
     def _sem_up(self, task: Task, cpu_idx: int, sem) -> None:
@@ -710,18 +724,18 @@ class Kernel:
     def _sleep(self, task: Task, cpu_idx: int, duration: int) -> None:
         if task.preempt_count > 0:
             raise KernelPanic(f"{task.name} sleeping under a spinlock")
-        task.state = TaskState.BLOCKED
+        task.state = _BLOCKED
         task.sleep_event = self.sim.after(
             max(0, duration), lambda: self._sleep_expired(task))
         self.schedule(cpu_idx)
 
     def _sleep_expired(self, task: Task) -> None:
         task.sleep_event = None
-        if task.state is TaskState.BLOCKED:
+        if task.state is _BLOCKED:
             self._make_runnable(task, from_cpu=None)
 
     def _yield_cpu(self, task: Task, cpu_idx: int) -> None:
-        task.state = TaskState.READY
+        task.state = _READY
         self.current[cpu_idx] = None
         task.on_cpu = None
         task.last_cpu = cpu_idx
@@ -787,7 +801,7 @@ class Kernel:
             tp.irq_entry(self.sim.now, cpu.index, desc.irq, desc.name)
         entry = self.config.timing.sample("irq.entry", self.rng)
         handler = self.config.timing.sample(cost_key, self.rng)
-        frame = ExecFrame(FrameKind.HARDIRQ, entry + handler,
+        frame = ExecFrame(_HARDIRQ, entry + handler,
                           lambda f: self._hardirq_done(cpu, desc),
                           label="irq",
                           owner=desc)
@@ -806,7 +820,7 @@ class Kernel:
             pended = cpu.take_pending_irq()
             self._do_irq_on(cpu, pended)
             return  # the pended irq's own exit continues the chain
-        if cpu.in_kind(FrameKind.HARDIRQ):
+        if cpu.in_kind(_HARDIRQ):
             return  # nested interrupt: the outer exit handles the rest
         if self.softirqq[cpu.index].pending and not self.in_softirq[cpu.index]:
             self.do_softirq(cpu.index)
@@ -868,7 +882,7 @@ class Kernel:
             tp.softirq_entry(self.sim.now, cpu_idx, int(vec))
         cpu = self.machine.cpus[cpu_idx]
         frame = ExecFrame(
-            FrameKind.SOFTIRQ, work,
+            _SOFTIRQ, work,
             lambda f: self._softirq_item_done(cpu_idx, budget - work, vec,
                                               action),
             label="softirq")
@@ -885,7 +899,7 @@ class Kernel:
 
     def _wake_ksoftirqd(self, cpu_idx: int) -> None:
         task = self.ksoftirqd_tasks[cpu_idx]
-        if task is not None and task.state is TaskState.BLOCKED:
+        if task is not None and task.state is _BLOCKED:
             self.wake_task(task, from_cpu=cpu_idx)
 
     def _ksoftirqd_body(self, cpu_idx: int) -> Generator:
@@ -931,7 +945,7 @@ class Kernel:
             # Timer-wheel processing runs in the TIMER softirq.
             work = self.config.timing.sample("tick.timer_softirq", self.rng)
             if work > 0:
-                self.raise_softirq(cpu_idx, SoftirqVector.TIMER, work,
+                self.raise_softirq(cpu_idx, _TIMER_SOFTIRQ, work,
                                    from_irq=True)
         cur = self.current[cpu_idx]
         if cur is None:
@@ -951,7 +965,7 @@ class Kernel:
         if self._scheduling[idx]:
             return
         task = self.current[idx]
-        if task is not None and task.state is TaskState.RUNNING:
+        if task is not None and task.state is _RUNNING:
             self._continue_task(task, idx)
         elif task is None and self.need_resched[idx]:
             self.schedule(idx)

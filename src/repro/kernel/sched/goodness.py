@@ -25,6 +25,11 @@ from repro.kernel.task import SchedPolicy
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.task import Task
 
+#: Enum members this module's functions read, bound once (see
+#: tests/test_hot_enum_reads.py).
+_FIFO = SchedPolicy.FIFO
+_RR = SchedPolicy.RR
+
 #: Goodness bonus for resuming on the CPU the task last ran on
 #: (PROC_CHANGE_PENALTY in the 2.4 sources).
 CPU_AFFINITY_BONUS = 15
@@ -104,9 +109,9 @@ class GoodnessScheduler(Scheduler):
 
     # ------------------------------------------------------------------
     def task_tick(self, cpu_index: int, task: "Task") -> bool:
-        if task.policy is SchedPolicy.FIFO:
+        if task.policy is _FIFO:
             return False
-        if task.policy is SchedPolicy.RR:
+        if task.policy is _RR:
             task.time_slice -= 1
             if task.time_slice <= 0:
                 task.time_slice = self.kernel.config.timeslice_ticks

@@ -25,6 +25,11 @@ from repro.kernel.task import SchedPolicy
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.task import Task
 
+#: Enum members this module's functions read, bound once (see
+#: tests/test_hot_enum_reads.py).
+_FIFO = SchedPolicy.FIFO
+_RR = SchedPolicy.RR
+
 
 class PrioArray:
     """Bitmap-indexed priority array."""
@@ -174,14 +179,14 @@ class O1Scheduler(Scheduler):
 
     # ------------------------------------------------------------------
     def task_tick(self, cpu_index: int, task: "Task") -> bool:
-        if task.policy is SchedPolicy.FIFO:
+        if task.policy is _FIFO:
             return False
         task.time_slice -= 1
         if task.time_slice <= 0:
             task.time_slice = self.kernel.config.timeslice_ticks
             # SCHED_RR goes behind its equal-priority peers in the
             # active array; SCHED_OTHER expires to the expired array.
-            if task.policy is SchedPolicy.RR:
+            if task.policy is _RR:
                 task.rr_requeue_tail = True
             else:
                 task.expired_on_tick = True

@@ -38,8 +38,15 @@ class SchedPolicy(enum.Enum):
 
     @property
     def realtime(self) -> bool:
-        return self is not SchedPolicy.OTHER
+        return self is not _OTHER
 
+
+#: Enum members this module's functions read, bound once (see
+#: tests/test_hot_enum_reads.py).
+_NEW = TaskState.NEW
+_READY = TaskState.READY
+_RUNNING = TaskState.RUNNING
+_OTHER = SchedPolicy.OTHER
 
 #: Priority value of an idle CPU; every task beats it.
 IDLE_PRIO = -1
@@ -65,7 +72,7 @@ class Task:
         self.requested_affinity = affinity if affinity is not None else CpuMask(0)
         self.effective_affinity = self.requested_affinity
 
-        self.state = TaskState.NEW
+        self.state = _NEW
         self.on_cpu: Optional[int] = None      # CPU index while RUNNING
         self.last_cpu = 0
 
@@ -102,7 +109,7 @@ class Task:
     # ------------------------------------------------------------------
     @property
     def runnable(self) -> bool:
-        return self.state in (TaskState.READY, TaskState.RUNNING)
+        return self.state in (_READY, _RUNNING)
 
     @property
     def in_kernel(self) -> bool:

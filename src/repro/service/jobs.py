@@ -155,6 +155,7 @@ class JobSpec:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Reject specs the scheduler could never run (raises JobError)."""
+        from repro.experiments.campaign import check_distinct
         from repro.faults.plan import UnknownFaultPlanError
 
         if self.kind not in JOB_KINDS:
@@ -162,6 +163,8 @@ class JobSpec:
                            f"(one of {', '.join(JOB_KINDS)})")
         try:
             self._check_numbers()
+            check_distinct(self.seeds, "'seeds'")
+            check_distinct(self.scenarios, "'scenarios'")
             if self.kind == "campaign":
                 if not self.scenarios:
                     raise JobError("a campaign job needs 'scenarios'")

@@ -11,6 +11,7 @@ import pytest
 from repro.experiments.campaign import (
     CampaignRunner,
     CampaignSpec,
+    check_distinct,
     parse_seeds,
     run_campaign,
 )
@@ -53,6 +54,22 @@ class TestParseSeeds:
     def test_separators_only_rejected(self):
         with pytest.raises(ValueError, match="names no seeds"):
             parse_seeds(",,")
+
+    @pytest.mark.parametrize("text", ["1,1", "3,1,3", " 2, 2 "])
+    def test_repeated_seed_rejected(self, text):
+        with pytest.raises(ValueError, match="repeats"):
+            parse_seeds(text)
+
+
+class TestCheckDistinct:
+    def test_names_each_repeated_entry_once(self):
+        with pytest.raises(ValueError) as exc:
+            check_distinct((3, 1, 3, 1, 1, 2), "'seeds'")
+        assert str(exc.value) == (
+            "'seeds' repeats 3, 1: each entry must appear once")
+
+    def test_distinct_entries_pass_through(self):
+        assert check_distinct(("fig7", "fig5"), "x") == ("fig7", "fig5")
 
 
 class TestExpansion:

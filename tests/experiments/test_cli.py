@@ -1,10 +1,16 @@
 """Tests for the `python -m repro.experiments` figure runner."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.experiments.__main__ import DETERMINISM, LATENCY, main
+
+GOLDEN = str(pathlib.Path(__file__).resolve().parents[2]
+             / "goldens" / "recordings" / "fig7.rtrace")
+#: An address nothing listens on.
+NO_SERVER = "http://127.0.0.1:9"
 
 
 class TestCli:
@@ -78,6 +84,100 @@ class TestJsonDir:
         assert (f"--json-dir {str(path)!r} is not a directory"
                 in capsys.readouterr().err)
         assert path.read_text() == ""
+
+
+class TestOutputDirectories:
+    """Every flag that names an output file gets its directory before
+    anything runs."""
+
+    @pytest.mark.parametrize("argv, written", [
+        (["trace", "fig7", "--samples", "20", "--trace-out", "a/b/t.json"],
+         "a/b/t.json"),
+        (["campaign", "--scenarios", "fig7", "--samples", "20", "--json",
+          "a/b/c.json"], "a/b/c.json"),
+        (["diff", "compare", GOLDEN, GOLDEN, "--report", "a/b/r.txt"],
+         "a/b/r.txt"),
+        (["diff", "record", "fig7", "--samples", "20", "--out",
+          "a/b/x.rtrace"], "a/b/x.rtrace"),
+    ], ids=["trace-out", "json", "report", "out"])
+    def test_a_missing_directory_is_created(
+            self, argv, written, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert (tmp_path / written).stat().st_size > 0
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "fig7", "--samples", "20"], "--trace-out"),
+        (["fig7", "--samples", "20"], "--trace-out"),
+        (["trace", "fig7", "--samples", "20"], "--trace-out"),
+        (["campaign", "--scenarios", "fig7", "--samples", "20"], "--json"),
+        (["faults", "storm", "fig6", "--samples", "20"], "--json"),
+        (["faults", "margin", "fig6", "--samples", "20"], "--json"),
+        (["diff", "against", GOLDEN], "--json"),
+        (["diff", "compare", GOLDEN, GOLDEN], "--json"),
+        (["diff", "twin", "storm-fig6", "--samples", "20"], "--json"),
+        (["submit", "figure", "--scenario", "fig7", "--wait",
+          "--server", NO_SERVER], "--json"),
+        (["status", "0123456789abcdef", "--server", NO_SERVER], "--json"),
+        (["diff", "against", GOLDEN], "--report"),
+        (["diff", "compare", GOLDEN, GOLDEN], "--report"),
+        (["diff", "twin", "storm-fig6", "--samples", "20"], "--report"),
+        (["diff", "record", "fig7", "--samples", "20"], "--out"),
+    ], ids=["run-trace-out", "bare-trace-out", "trace-trace-out",
+            "campaign-json", "storm-json", "margin-json", "against-json",
+            "compare-json", "twin-json", "submit-json", "status-json",
+            "against-report", "compare-report", "twin-report",
+            "record-out"])
+    def test_a_file_in_the_way_exits_2_before_anything_runs(
+            self, argv, flag, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+
+        def run_until(*args, **kwargs):
+            raise AssertionError(f"simulated despite {flag}")
+        monkeypatch.setattr("repro.sim.engine.Simulator.run_until",
+                            run_until)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "taken/out"])
+        # A server call would have failed with exit 1 instead.
+        assert exc.value.code == 2
+        assert (f"{flag} 'taken/out': 'taken' is not a directory"
+                in capsys.readouterr().err)
+        assert (tmp_path / "taken").read_text() == ""
+
+    def test_a_directory_named_as_a_file_exits_2(
+            self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--scenarios", "fig7", "--json", "d"])
+        assert exc.value.code == 2
+        assert ("--json 'd' is a directory, not a file"
+                in capsys.readouterr().err)
+
+
+class TestRepeatedEntries:
+    @pytest.mark.parametrize("argv, flag", [
+        (["campaign", "--scenarios", "fig7", "--seeds", "1,1"], "--seeds"),
+        (["campaign", "--scenarios", "fig7,fig5,fig7"], "--scenarios"),
+        (["submit", "campaign", "--scenarios", "fig7", "--seeds", "2,3,2",
+          "--server", NO_SERVER], "--seeds"),
+        (["submit", "campaign", "--scenarios", "fig7, fig7",
+          "--server", NO_SERVER], "--scenarios"),
+    ], ids=["campaign-seeds", "campaign-scenarios", "submit-seeds",
+            "submit-scenarios"])
+    def test_a_repeated_entry_exits_2_naming_the_flag(
+            self, argv, flag, capsys, monkeypatch):
+        def run_campaign(*args, **kwargs):
+            raise AssertionError("a campaign ran despite a repeat")
+        monkeypatch.setattr("repro.experiments.campaign.run_campaign",
+                            run_campaign)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--samples", "20"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err
+        assert "each entry must appear once" in err
 
 
 class TestTraceCapacity:

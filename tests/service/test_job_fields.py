@@ -31,6 +31,10 @@ def server(tmp_path_factory):
     (CAMPAIGN, "seeds", [1.5]),
     (CAMPAIGN, "seeds", [True]),
     (CAMPAIGN, "seeds", ["2"]),
+    (CAMPAIGN, "seeds", "1,1"),
+    (CAMPAIGN, "seeds", [2, 3, 2]),
+    (CAMPAIGN, "scenarios", "fig7,fig7"),
+    (CAMPAIGN, "scenarios", ["fig5", "fig7", "fig5"]),
     (FIGURE, "priority", "high"),
     (FIGURE, "priority", 1.5),
     (FIGURE, "priority", False),
